@@ -141,26 +141,6 @@ else
 fi
 echo "soak-smoke: OK (${BUILD_DIR}/bench_results/BENCH_soak.json)"
 
-# Tuner smoke: small run of the adaptive-backend driver under a fresh
-# migration-sampling seed every CI run (the test suite reads the same
-# PSS_TUNER_SEED knob, so the randomized migration points rotate too).
-# The driver exits nonzero if the adaptive engine's decisions diverge
-# from either static twin, if it fails to converge contiguous on the
-# small-partition regime (or to flip indexed on the growing horizon), or
-# if it recovers less than half the measured treap tax.
-: "${PSS_TUNER_SEED:=$(date +%s)}"
-echo "tuner-smoke: PSS_TUNER_SEED=${PSS_TUNER_SEED}"
-PSS_TUNER_SEED="${PSS_TUNER_SEED}" PSS_TUNER_SMALL_TICKS=200 \
-  PSS_TUNER_GROW_MAX_JOBS=16000 PSS_RESULT_DIR=bench_results \
-  ./bench_tuner --benchmark_filter=NONE_ > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_tuner.json > /dev/null
-else
-  grep -q '"determinism_match": true' bench_results/BENCH_tuner.json
-fi
-PSS_TUNER_SEED="${PSS_TUNER_SEED}" ./test_policy_tuner > /dev/null
-echo "tuner-smoke: OK (${BUILD_DIR}/bench_results/BENCH_tuner.json + migration differential reseeded)"
-
 # Recovery smoke: small crash-recovery run of the WAL-checkpoint stack.
 # The driver exits nonzero if any recovered engine diverges from its
 # uninterrupted twin (bitwise), if the torn newest generation is not
@@ -211,19 +191,20 @@ echo "docs-consistency: OK (all emitted BENCH_*.json schemas documented)"
 # recycle handles and rebuild state from byte streams — exactly the code
 # where a stale pointer or uninitialised read hides from a plain build.
 # Build a second tree with ASan+UBSan and run the suites that exercise
-# prefix compaction, checkpoint/restore and the stream engine end to end.
+# prefix compaction, checkpoint/restore, the screen-width gate and the
+# stream engine end to end.
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
-cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_policy_tuner
+cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_screen_gate
 cd "${SAN_DIR}"
 UBSAN_OPTIONS=halt_on_error=1 ./test_compaction > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_stream > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_interval_store > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_recovery > /dev/null
-UBSAN_OPTIONS=halt_on_error=1 ./test_policy_tuner > /dev/null
-echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/tuner suites)"
+UBSAN_OPTIONS=halt_on_error=1 ./test_screen_gate > /dev/null
+echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/screen-gate suites)"
 
 # ThreadSanitizer pass over the concurrent surface: the MPSC rings, the
 # producer handles, the shutdown gate and the engine/ingest suites that

@@ -15,14 +15,10 @@
 //     allocates a fresh handle for the right half and bumps epochs, which
 //     the epoch/length validation of CurveCache already detects.
 //
-// Select the backend before the first ensure_boundary. A live state can
-// still change backend mid-run, but only through migrate_to below: the two
-// backends are alternative owners of the same logical state, not mirrors
-// of each other, so a switch is a capture-and-rebuild, never a flag flip.
+// Select the backend before the first ensure_boundary.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "core/curve_cache.hpp"
 #include "model/interval_store.hpp"
@@ -106,63 +102,6 @@ struct OnlineState {
 
   [[nodiscard]] std::size_t num_intervals() const {
     return indexed ? store.num_intervals() : partition.num_intervals();
-  }
-
-  /// Rebuilds the state under `to_indexed` (which may equal the current
-  /// backend — then this is a pure cold rebuild): captures the boundaries
-  /// and per-interval loads, resets both representations, and replays the
-  /// boundaries left to right through ensure_boundary — the io::state_io
-  /// restore discipline — so the rebuilt structure is exactly what the
-  /// online code would have built from scratch. interval_splits /
-  /// horizon_extensions are preserved across the rebuild (the replay's own
-  /// bumps are discarded). The caller owns the cache contract: pass the
-  /// cache already reset to the target mode, and materialize (or capture)
-  /// any pending lazy annotations first — the capture below reads only
-  /// committed loads.
-  void migrate_to(bool to_indexed, CurveCache* cache) {
-    std::vector<double> bounds;
-    std::vector<std::vector<model::Load>> loads;
-    if (indexed) {
-      const std::size_t nb = store.num_boundaries();
-      bounds.reserve(nb);
-      loads.reserve(store.num_intervals());
-      if (nb > 0) {
-        bounds.push_back(store.front_boundary());
-        for (auto h = store.front_handle();
-             h != model::IntervalStore::kNoHandle; h = store.next_handle(h)) {
-          bounds.push_back(store.end_of(h));
-          loads.push_back(store.loads(h));
-        }
-      }
-    } else {
-      bounds = partition.boundaries();
-      loads.reserve(assignment.num_intervals());
-      for (std::size_t k = 0; k < assignment.num_intervals(); ++k)
-        loads.push_back(assignment.loads(k));
-    }
-    const long long splits = interval_splits;
-    const long long extensions = horizon_extensions;
-    partition = model::TimePartition{};
-    assignment = model::WorkAssignment{};
-    store = model::IntervalStore{};
-    indexed = to_indexed;
-    for (double b : bounds) ensure_boundary(b, cache);
-    interval_splits = splits;
-    horizon_extensions = extensions;
-    PSS_CHECK(num_intervals() == loads.size(),
-              "backend migration drifted from the captured partition");
-    if (indexed) {
-      auto h = store.front_handle();
-      for (const auto& interval_loads : loads) {
-        for (const model::Load& l : interval_loads)
-          store.set_load(h, l.job, l.amount);
-        h = store.next_handle(h);
-      }
-    } else {
-      for (std::size_t k = 0; k < loads.size(); ++k)
-        for (const model::Load& l : loads[k])
-          assignment.set_load(k, l.job, l.amount);
-    }
   }
 };
 

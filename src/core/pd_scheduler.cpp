@@ -1,7 +1,6 @@
 #include "core/pd_scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "chen/interval_schedule.hpp"
@@ -11,7 +10,6 @@
 #include "core/rejection.hpp"
 #include "model/power.hpp"
 #include "util/assert.hpp"
-#include "util/fault.hpp"
 #include "util/math.hpp"
 
 namespace pss::core {
@@ -19,26 +17,15 @@ namespace pss::core {
 PdScheduler::PdScheduler(model::Machine machine, PdOptions options)
     : machine_(machine),
       delta_(options.delta.value_or(optimal_delta(machine.alpha))),
-      record_decisions_(options.record_decisions),
-      adaptive_(options.adaptive),
-      base_options_(options),
-      tuner_(options.tuner) {
+      incremental_(options.incremental),
+      indexed_(options.indexed),
+      // The screen and the lazy annotations live on the indexed store.
+      windowed_(options.windowed && options.indexed),
+      lazy_(options.lazy && options.indexed),
+      record_decisions_(options.record_decisions) {
   PSS_REQUIRE(machine_.num_processors >= 1, "need at least one processor");
   PSS_REQUIRE(machine_.alpha > 1.0, "alpha must exceed 1");
   PSS_REQUIRE(delta_ > 0.0, "delta must be positive");
-  base_options_.windowed = options.windowed && options.indexed;
-  base_options_.lazy = options.lazy && options.indexed;
-  apply_start_flags();
-}
-
-void PdScheduler::apply_start_flags() {
-  incremental_ = base_options_.incremental;
-  // An adaptive session starts on the cheap contiguous backend and lets
-  // the tuner flip it up to the configured cube position; a static one
-  // starts where it was configured.
-  indexed_ = adaptive_ ? false : base_options_.indexed;
-  windowed_ = adaptive_ ? false : base_options_.windowed;
-  lazy_ = adaptive_ ? false : base_options_.lazy;
   state_.indexed = indexed_;
   cache_.enable_lazy(lazy_);
 }
@@ -59,103 +46,6 @@ void PdScheduler::advance_to(double t, bool compact) {
   first_arrival_ = false;
   last_release_ = std::max(last_release_, t);
   if (compact && indexed_) compact_before(t - util::clock_tol(t));
-  if (adaptive_) maybe_tune();
-}
-
-void PdScheduler::maybe_tune() {
-  if (!tuner_.tick()) return;
-  ++counters_.tuner_evals;
-  const TunerVerdict verdict = tuner_.evaluate(
-      counters_, state_.num_intervals(), indexed_, windowed_, lazy_,
-      base_options_.indexed, base_options_.windowed, base_options_.lazy);
-  if (!verdict.migrate) return;
-  PdOptions target = base_options_;
-  target.indexed = verdict.indexed;
-  target.windowed = verdict.windowed;
-  target.lazy = verdict.lazy;
-  migrate_to(target);
-}
-
-bool PdScheduler::migrate_to(const PdOptions& target) {
-  const bool to_incremental = target.incremental;
-  const bool to_indexed = target.indexed;
-  const bool to_windowed = target.windowed && target.indexed;
-  const bool to_lazy = target.lazy && target.indexed;
-  if (to_incremental == incremental_ && to_indexed == indexed_ &&
-      to_windowed == windowed_ && to_lazy == lazy_)
-    return false;
-
-  // Pending lazy annotations are semantic state. A lazy-keeping migration
-  // carries them verbatim (the checkpoint discipline below); a
-  // lazy-dropping one must land them as real loads first, because the
-  // capture inside state_.migrate_to reads only committed loads.
-  const bool carry_lazy = lazy_ && to_lazy;
-  if (lazy_ && !carry_lazy) {
-    try {
-      // Canary site: tests/test_policy_tuner.cpp arms this with a
-      // swallowed error to model a migration that forgets to materialize
-      // — the differential harness must then report a bitwise mismatch.
-      PSS_FAULT_POINT("migrate.materialize");
-      cache_.lazy_flush(state_.store);
-      counters_.lazy_materializations = cache_.lazy_stats().materializations;
-    } catch (const util::InjectedError&) {
-      // Deliberately swallowed: the injected skipped-materialization bug.
-    }
-  }
-  CurveCache::LazyState carried;
-  if (carry_lazy) carried = cache_.lazy_state();
-
-  const bool need_accepted_rebuild = to_windowed && !windowed_;
-  if (!to_windowed) accepted_ids_.clear();
-
-  // Cold rebuild through the live refinement path — the state_io restore
-  // discipline — under a cache freshly reset into the target mode. The
-  // certification caches (curves, segment tree, grid classification)
-  // restart cold exactly as they do after a checkpoint restore; only
-  // cost, never a decision, depends on them.
-  cache_.reset(0);
-  cache_.enable_lazy(to_lazy);
-  state_.migrate_to(to_indexed, &cache_);
-  incremental_ = to_incremental;
-  indexed_ = to_indexed;
-  windowed_ = to_windowed;
-  lazy_ = to_lazy;
-
-  if (carry_lazy)
-    cache_.restore_lazy_state(carried);
-  else if (to_lazy)
-    seed_lazy_extent();
-  if (need_accepted_rebuild) rebuild_accepted_ids(carried);
-  ++counters_.backend_flips;
-  return true;
-}
-
-void PdScheduler::seed_lazy_extent() {
-  const model::IntervalStore& store = state_.store;
-  for (model::IntervalStore::Handle h = store.front_handle();
-       h != model::IntervalStore::kNoHandle; h = store.next_handle(h)) {
-    if (store.loads(h).empty()) continue;
-    cache_.note_commit_extent(store.front_boundary(), store.back_boundary());
-    return;
-  }
-}
-
-void PdScheduler::rebuild_accepted_ids(const CurveCache::LazyState& carried) {
-  const model::IntervalStore& store = state_.store;
-  for (model::IntervalStore::Handle h = store.front_handle();
-       h != model::IntervalStore::kNoHandle; h = store.next_handle(h)) {
-    const double end = store.end_of(h);
-    for (const model::Load& l : store.loads(h)) {
-      auto [it, fresh] = accepted_ids_.try_emplace(l.job, end);
-      if (!fresh) it->second = std::max(it->second, end);
-    }
-  }
-  // Carried annotations hold accepts whose loads are not materialized yet;
-  // their range end is the accepted window's deadline.
-  for (const auto& p : carried.pending) {
-    auto [it, fresh] = accepted_ids_.try_emplace(p.job, p.t1);
-    if (!fresh) it->second = std::max(it->second, p.t1);
-  }
 }
 
 void PdScheduler::compact_before(double frontier) {
@@ -199,12 +89,7 @@ void PdScheduler::compact_before(double frontier) {
 
 void PdScheduler::reset() {
   state_ = OnlineState{};
-  // A migrated session reverts to its configured cube position (and an
-  // adaptive one restarts contiguous with a fresh tuner): the next stream
-  // served by this recycled object must not inherit the previous stream's
-  // flip history.
-  tuner_ = PolicyTuner(base_options_.tuner);
-  apply_start_flags();
+  state_.indexed = indexed_;
   // reset() drops all lazy state (pending annotations, extent, grid) but
   // keeps the lazy mode flag — a recycled session must neither replay
   // stale water levels nor silently change engine variant.
@@ -226,12 +111,6 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
                         last_release_ - util::clock_tol(last_release_)
                   : true,
               "jobs must arrive in nondecreasing release order");
-  // Per-arrival timing feeds the tuner's optional cost model only; with
-  // cost_model off (the default) the clock is never read and the flip
-  // trajectory is a pure function of the op stream.
-  const bool timed = adaptive_ && base_options_.tuner.cost_model;
-  std::chrono::steady_clock::time_point op_start;
-  if (timed) op_start = std::chrono::steady_clock::now();
   last_release_ = std::max(last_release_, job.release);
 
   ensure_boundary(job.release);
@@ -250,22 +129,20 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   // inconclusive (or a re-arriving accepted id, whose committed loads the
   // all-loads bounds cannot exclude) falls through to the exact reference
   // arithmetic below, so the decision stream is bitwise independent of
-  // `windowed`.
+  // `windowed`. Windows narrower than kMinScreenWidth are not screened at
+  // all (and count in neither screen counter): their exact scan is cheaper
+  // than the query.
   // s_reject > 0 also keeps a zero-value job (s_reject == 0, finite) off
   // the screen, preserving the exact path's behavior for it verbatim.
   bool screened_reject = false;
-  if (windowed_ && std::isfinite(s_reject) && s_reject > 0.0 &&
-      accepted_ids_.find(job.id) == accepted_ids_.end()) {
-    const convex::CapacityBounds bounds = cache_.window_capacity_bounds(
-        state_.store, machine_.num_processors, window, s_reject);
-    if (bounds.hi < job.work) {
-      screened_reject = true;
-      ++counters_.window_prunes;
-    } else {
-      ++counters_.window_exact;
+  if (windowed_ && window.size() >= kMinScreenWidth) {
+    if (std::isfinite(s_reject) && s_reject > 0.0 &&
+        accepted_ids_.find(job.id) == accepted_ids_.end()) {
+      const convex::CapacityBounds bounds = cache_.window_capacity_bounds(
+          state_.store, machine_.num_processors, window, s_reject);
+      screened_reject = bounds.hi < job.work;
     }
-  } else if (windowed_) {
-    ++counters_.window_exact;
+    ++(screened_reject ? counters_.window_prunes : counters_.window_exact);
   }
 
   ArrivalDecision decision;
@@ -375,11 +252,6 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
       std::max(counters_.max_intervals, state_.num_intervals());
   counters_.max_window = std::max(counters_.max_window, window.size());
   if (record_decisions_) decisions_.push_back({job.id, decision});
-  if (timed)
-    tuner_.observe_cost(
-        indexed_, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - op_start)
-                      .count());
   return decision;
 }
 
@@ -401,8 +273,6 @@ double PdScheduler::planned_energy() const {
         state_.store.snapshot_assignment(), state_.store.snapshot_partition(),
         machine_.num_processors, machine_.alpha, retired_energy_);
   }
-  // retired_energy_ can be nonzero here too: a session compacted on the
-  // indexed backend may have since migrated to the contiguous one.
   return convex::assignment_energy(state_.assignment, state_.partition,
                                    machine_.num_processors, machine_.alpha,
                                    retired_energy_);

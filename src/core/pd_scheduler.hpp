@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <unordered_map>
@@ -26,7 +27,6 @@
 
 #include "core/curve_cache.hpp"
 #include "core/online_state.hpp"
-#include "core/policy_tuner.hpp"
 #include "model/instance.hpp"
 #include "model/schedule.hpp"
 #include "model/time_partition.hpp"
@@ -74,6 +74,8 @@ struct PdOptions {
   /// are Ω(window) regardless (they commit a load into every window
   /// interval), so the screen targets the rejection path — the case where
   /// a heavy-lookahead arrival previously paid O(window) for nothing.
+  /// Windows narrower than kMinScreenWidth skip the screen: their exact
+  /// scan is cheaper than the tree's query-time recombination.
   bool windowed = true;
   /// Lazy water-level accepts (indexed backend only; inert otherwise).
   /// An arrival whose window is a certified *virgin uniform* range — all
@@ -94,19 +96,26 @@ struct PdOptions {
   /// arrival forever, so indefinitely-running serving layers turn it off —
   /// it is the one piece of state horizon compaction cannot bound.
   bool record_decisions = true;
-  /// Adaptive backend selection: the session starts on the cheap
-  /// contiguous/unscreened backend regardless of the flags above and a
-  /// PolicyTuner flips it (up to the configured cube position) through
-  /// live migration once the observed workload warrants the heavier
-  /// machinery — see core/policy_tuner.hpp. Every flip preserves bitwise
-  /// decisions (tests/test_policy_tuner.cpp), so `adaptive` changes only
-  /// per-arrival cost, never an outcome.
-  bool adaptive = false;
-  /// Thresholds/hysteresis of that tuner (ignored unless adaptive).
-  TunerOptions tuner = {};
 };
 
+/// Narrowest window (in intervals) the windowed screen is queried for.
+/// Each query first absorbs new handles and recombines every dirty summary
+/// up to the root, a cost that tracks churn across the whole partition
+/// rather than the window; below this width the exact O(window) scan is
+/// cheaper. The gate cannot change a decision — the screen only certifies
+/// rejections the exact path would make too — and a stream that never
+/// reaches it never builds the tree at all.
+inline constexpr std::size_t kMinScreenWidth = 64;
+
 /// Lightweight instrumentation, filled as arrivals are processed.
+///
+/// Screen accounting: with the windowed screen on, an arrival whose window
+/// spans at least kMinScreenWidth intervals is *screened* and counts in
+/// exactly one of window_prunes (a certified rejection) or window_exact
+/// (everything else, re-arriving accepted ids included). A narrower
+/// arrival counts in neither, so window_prunes + window_exact is the
+/// number of screened arrivals and window_prunes / (window_prunes +
+/// window_exact) is the prune rate per screened arrival.
 struct PdCounters {
   long long arrivals = 0;
   long long accepted = 0;
@@ -116,7 +125,7 @@ struct PdCounters {
   long long curve_cache_hits = 0;      // curves served without rebuilding
   long long curve_cache_rebuilds = 0;  // curves (re)built from loads
   long long window_prunes = 0;   // rejections certified by the segment tree
-  long long window_exact = 0;    // windowed arrivals that took the exact path
+  long long window_exact = 0;    // screened arrivals that took the exact path
   long long lazy_fast_path = 0;  // arrivals decided by the closed-form replay
   long long lazy_commits = 0;           // accepts recorded as annotations
   long long lazy_materializations = 0;  // annotations expanded into loads
@@ -124,8 +133,6 @@ struct PdCounters {
   long long compacted_intervals = 0;   // intervals retired behind the frontier
   std::size_t max_intervals = 0;     // partition size high-water mark
   std::size_t max_window = 0;        // largest availability window seen
-  long long backend_flips = 0;  // live migrations (tuner or migrate_to)
-  long long tuner_evals = 0;    // PolicyTuner evaluations at advances
 
   /// Aggregation across independent schedulers (shards, sweeps): counts
   /// add, high-water marks take the max. Implemented over the reflection
@@ -182,10 +189,6 @@ inline constexpr PdCounterField kPdCounterFields[] = {
      &PdCounters::max_intervals},
     {"max_window", PdCounterField::Kind::kMax, nullptr,
      &PdCounters::max_window},
-    {"backend_flips", PdCounterField::Kind::kAdd, &PdCounters::backend_flips,
-     nullptr},
-    {"tuner_evals", PdCounterField::Kind::kAdd, &PdCounters::tuner_evals,
-     nullptr},
 };
 
 inline PdCounters& PdCounters::operator+=(const PdCounters& other) {
@@ -231,27 +234,11 @@ class PdScheduler {
   /// identical to the uncompacted run (tests/test_compaction.cpp).
   void advance_to(double t, bool compact = false);
 
-  /// Returns the scheduler to its freshly-constructed state (machine,
-  /// delta and the *configured* mode are kept — a session that migrated
-  /// backends mid-run reverts to its constructor-time cube position, and
-  /// an adaptive session restarts contiguous with a fresh tuner). The
-  /// session-reuse entry point for the stream engine: a pooled scheduler
-  /// object is reset and handed to the next stream instead of being
-  /// destroyed and reallocated.
+  /// Returns the scheduler to its freshly-constructed state (machine, delta
+  /// and mode are kept). The session-reuse entry point for the stream
+  /// engine: a pooled scheduler object is reset and handed to the next
+  /// stream instead of being destroyed and reallocated.
   void reset();
-
-  /// Live backend migration: converts the session to the cube position in
-  /// `target` (only incremental/indexed/windowed/lazy are read; windowed
-  /// and lazy are forced off without indexed, as in the constructor). The
-  /// semantic state — boundaries, committed loads, pending lazy
-  /// annotations, accepted ids, decisions, clock, retired energy — is
-  /// carried; everything derived (curve cache, segment tree, grid
-  /// classification) is rebuilt cold through the state_io restore
-  /// discipline, so every subsequent decision is bitwise identical to the
-  /// never-migrated twin (tests/test_policy_tuner.cpp proves this at
-  /// randomized migration points across the whole cube). Returns false if
-  /// the target equals the live mode (no-op).
-  bool migrate_to(const PdOptions& target);
 
   /// The committed partition / assignment. On the contiguous backend these
   /// are references to the live state; on the indexed backend (the
@@ -275,8 +262,11 @@ class PdScheduler {
   [[nodiscard]] bool indexed() const { return indexed_; }
   [[nodiscard]] bool windowed() const { return windowed_; }
   [[nodiscard]] bool lazy() const { return lazy_; }
-  [[nodiscard]] bool adaptive() const { return adaptive_; }
-  [[nodiscard]] const PolicyTuner& tuner() const { return tuner_; }
+  /// The windowed screen's segment tree (inspection only): its query
+  /// count and live size show whether the screen ran at all.
+  [[nodiscard]] const convex::CurveSegmentTree& segment_tree() const {
+    return cache_.segment_tree();
+  }
 
   /// Total energy of the committed plan (sum of interval P_k), including
   /// the energy of intervals retired by compaction. Bitwise identical to
@@ -314,23 +304,6 @@ class PdScheduler {
   friend void io::load_scheduler(std::istream&, core::PdScheduler&);
 
   void ensure_boundary(double t);
-  /// Resets the live flags to the configured cube position (contiguous
-  /// start when adaptive) and aligns state_/cache_ with them.
-  void apply_start_flags();
-  /// Advance-boundary tuner hook: evaluates the PolicyTuner (respecting
-  /// its eval_period) and migrates when it returns a flip verdict.
-  void maybe_tune();
-  /// Rebuilds the windowed screen's accepted-id map from the live loads
-  /// (plus carried lazy annotations) after a migration enabled the screen
-  /// mid-session. Deadlines are the last load-bearing interval ends — a
-  /// conservative superset of what the never-windowed history recorded,
-  /// which keeps the screen sound (a job with committed window load can
-  /// never pass it) without changing any decision.
-  void rebuild_accepted_ids(const CurveCache::LazyState& carried);
-  /// After enabling lazy mid-session: spans the whole live range with the
-  /// commit extent when any committed load exists, so the virgin-window
-  /// certificate stays sound (it can only miss fast paths, never misfire).
-  void seed_lazy_extent();
   /// Retires every interval ending at or before `frontier`: accumulates
   /// their energy, reclaims store/cache/tree state, and drops accepted-id
   /// records whose whole window is behind the frontier (their loads cannot
@@ -344,16 +317,12 @@ class PdScheduler {
 
   model::Machine machine_;
   double delta_;
-  // Live cube position — migrate_to moves these at runtime; the configured
-  // position lives in base_options_ (the ceiling adaptive tuning honours).
+  // Mode flags; io::load_scheduler adopts a checkpoint's mode into them.
   bool incremental_;
   bool indexed_;
   bool windowed_;
   bool lazy_;
   bool record_decisions_;
-  bool adaptive_;
-  PdOptions base_options_;  // constructor-time config, flags normalized
-  PolicyTuner tuner_;
   OnlineState state_;
   CurveCache cache_;
   // Job ids this scheduler has accepted, with the latest deadline seen

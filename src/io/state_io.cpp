@@ -256,22 +256,6 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
 
   save_lazy(os, s.cache_.lazy_state());
   save_counters(os, s.counters_);
-
-  // Adaptive-tuner block (PR 10): the mode flags written above are *live*
-  // state now — a session may have migrated backends mid-run — and the
-  // tuner trajectory rides along so a restore resumes the same policy.
-  write_bool(os, s.adaptive_);
-  const core::TunerState& ts = s.tuner_.state();
-  write_f64(os, ts.threshold);
-  write_i64(os, ts.advances);
-  write_bool(os, ts.window_dropped);
-  write_bool(os, ts.lazy_dropped);
-  write_i64(os, ts.mark_arrivals);
-  write_i64(os, ts.mark_window_prunes);
-  write_i64(os, ts.mark_window_exact);
-  write_i64(os, ts.mark_lazy_fast);
-  write_f64(os, ts.ewma_contig);
-  write_f64(os, ts.ewma_indexed);
 }
 
 void load_scheduler(std::istream& is, core::PdScheduler& s) {
@@ -287,12 +271,11 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
               "checkpoint record_decisions mismatch");
 
   s.reset();
-  // The mode flags are live, migratable state (PR 10): adopt the blob's
-  // cube position instead of requiring it, so a mid-flip session restores
-  // onto the backend it was checkpointed on even when the target's
-  // configured position differs (e.g. restore into an adaptive-off
-  // engine). Machine/delta/record_decisions above stay strict — those
-  // change what the replayed bytes *mean*.
+  // Adopt the blob's mode instead of requiring it: every mode commits
+  // bitwise-identical decisions, so a restore into a differently configured
+  // scheduler continues the checkpointed session unchanged. Machine, delta
+  // and record_decisions above stay strict — those change what the
+  // replayed bytes *mean*.
   s.incremental_ = incremental;
   s.indexed_ = indexed;
   s.windowed_ = windowed && indexed;
@@ -362,24 +345,6 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
   // replay above accumulated with the live run's exact lazy image.
   s.cache_.restore_lazy_state(load_lazy(is));
   load_counters(is, s.counters_);
-
-  // Blob's adaptive flag is informational: whether tuning *continues* is
-  // the restore target's own configuration (an adaptive-off target keeps
-  // the blob's backend and never flips again). The trajectory itself is
-  // restored so an adaptive-on target resumes the same policy.
-  (void)read_bool(is);
-  core::TunerState ts;
-  ts.threshold = read_f64(is);
-  ts.advances = read_i64(is);
-  ts.window_dropped = read_bool(is);
-  ts.lazy_dropped = read_bool(is);
-  ts.mark_arrivals = read_i64(is);
-  ts.mark_window_prunes = read_i64(is);
-  ts.mark_window_exact = read_i64(is);
-  ts.mark_lazy_fast = read_i64(is);
-  ts.ewma_contig = read_f64(is);
-  ts.ewma_indexed = read_f64(is);
-  s.tuner_.mutable_state() = ts;
 }
 
 }  // namespace pss::io

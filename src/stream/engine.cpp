@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include <string>
+#include <thread>
 
 #include "io/state_io.hpp"
 #include "util/assert.hpp"
@@ -20,13 +21,48 @@ struct InFlightGuard {
   std::atomic<long long>& counter;
   ~InFlightGuard() { counter.fetch_sub(1, std::memory_order_seq_cst); }
 };
+
+// Poll, then park. A parked thread's CPU goes idle, and on a virtual
+// machine waking it again is a round trip through the hypervisor whose
+// latency follows the host's load. A caller that feeds a tick and then
+// drains pays two such wakes per tick: the worker parks once its rings run
+// dry and is woken by the next tick's first push, and drain() parks until
+// the last publish. With sub-millisecond ticks those wakes are a large,
+// host-dependent share of each tick, so both sides first poll for a short,
+// bounded time. Polling only helps while every worker and the draining
+// thread have a CPU of their own; with fewer CPUs it would take the CPU
+// from the thread being waited for, so the engine then parks at once.
+constexpr std::chrono::microseconds kIdlePoll{100};    // worker, rings empty
+constexpr std::chrono::microseconds kDrainPoll{2000};  // drain(), per call
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Polls `ready` until it holds (returns true) or `deadline` passes.
+template <typename Ready>
+bool poll_until(std::chrono::steady_clock::time_point deadline,
+                Ready&& ready) {
+  for (unsigned n = 1;; ++n) {
+    if (ready()) return true;
+    cpu_relax();
+    if (n % 64 == 0 && std::chrono::steady_clock::now() >= deadline)
+      return false;
+  }
+}
 }  // namespace
 
 StreamEngine::StreamEngine(EngineOptions options)
     : options_(options),
       router_(options.num_shards),
       admission_(options.admission),
-      paused_(options.start_paused) {
+      paused_(options.start_paused),
+      poll_before_park_(std::thread::hardware_concurrency() >
+                        options.num_shards) {
   PSS_REQUIRE(options_.num_shards >= 1, "need at least one shard");
   PSS_REQUIRE(options_.max_producers >= 1, "need at least one producer slot");
   PSS_REQUIRE(options_.drain_batch >= 1, "drain_batch must be positive");
@@ -212,8 +248,14 @@ void StreamEngine::resume() {
   }
 }
 
-void StreamEngine::drain_shard(Shard& shard) {
+void StreamEngine::drain_shard(Shard& shard,
+                               std::chrono::steady_clock::time_point poll) {
   const long long target = shard.enqueued.load(std::memory_order_relaxed);
+  if (poll_before_park_)
+    poll_until(poll, [&] {
+      return shard.processed.load(std::memory_order_acquire) >= target ||
+             shard.quarantined.load(std::memory_order_acquire);
+    });
   std::unique_lock lock(shard.stats_mutex);
   // A quarantined shard will never reach the target; waiting on a dead
   // worker must not wedge the caller (the stranded ops are part of the
@@ -227,7 +269,8 @@ void StreamEngine::drain_shard(Shard& shard) {
 void StreamEngine::drain() {
   PSS_REQUIRE(!paused_.load(std::memory_order_relaxed),
               "draining a paused engine would deadlock");
-  for (auto& shard : shards_) drain_shard(*shard);
+  const auto poll = std::chrono::steady_clock::now() + kDrainPoll;
+  for (auto& shard : shards_) drain_shard(*shard, poll);
 }
 
 void StreamEngine::stop() {
@@ -251,15 +294,15 @@ void StreamEngine::stop() {
 // ------------------------------------------------------ checkpoint/restore
 
 namespace {
-// "PSSCKPT4" as a little-endian u64 — version byte last. (v2 added the
+// "PSSCKPT5" as a little-endian u64 — version byte last. (v2 added the
 // admission/late-reject tallies to the per-shard stats block; v3 added the
-// WAL checkpoint-mark stamp for crash recovery; v4 added the adaptive
-// config byte plus the per-session tuner block and the two tuner counters
-// in the counter table.)
-constexpr std::uint64_t kCheckpointMagic = 0x3454504B43535350ull;
-// "PSSSHRD2": a single-shard image (checkpoint_shard / restore_shard),
-// version-bumped in lockstep with the v4 session-blob format.
-constexpr std::uint64_t kShardMagic = 0x3244524853535350ull;
+// WAL checkpoint-mark stamp for crash recovery; v4 added an adaptive-backend
+// block that v5 dropped again, together with its config byte and its two
+// counters in the counter table. No reader for older versions.)
+constexpr std::uint64_t kCheckpointMagic = 0x3554504B43535350ull;
+// "PSSSHRD3": a single-shard image (checkpoint_shard / restore_shard),
+// version-bumped in lockstep with the v5 session-blob format.
+constexpr std::uint64_t kShardMagic = 0x3344524853535350ull;
 }  // namespace
 
 bool StreamEngine::quiesce_producers() {
@@ -291,7 +334,6 @@ void StreamEngine::write_config(std::ostream& os) const {
   io::write_u8(os, options_.scheduler.windowed ? 1 : 0);
   io::write_u8(os, options_.scheduler.lazy ? 1 : 0);
   io::write_u8(os, options_.record_decisions ? 1 : 0);
-  io::write_u8(os, options_.scheduler.adaptive ? 1 : 0);
 }
 
 void StreamEngine::check_config(std::istream& is) const {
@@ -311,11 +353,6 @@ void StreamEngine::check_config(std::istream& is) const {
                   (io::read_u8(is) != 0) == options_.scheduler.lazy &&
                   (io::read_u8(is) != 0) == options_.record_decisions,
               "checkpoint mode flags mismatch");
-  // Adaptive is deliberately not enforced: per-session blobs carry their
-  // live backend and tuner trajectory, so a checkpoint taken under an
-  // adaptive engine restores into an adaptive-off engine (sessions keep
-  // their checkpointed backends, tuning just stops) and vice versa.
-  (void)io::read_u8(is);
 }
 
 void StreamEngine::write_shard_state(std::ostream& os, Shard& shard) const {
@@ -376,6 +413,7 @@ void StreamEngine::read_shard_state(std::istream& is, Shard& shard) {
   {
     std::lock_guard lock(shard.stats_mutex);
     shard.published = p;
+    shard.processed.store(p.processed, std::memory_order_release);
   }
   // drain() waits for processed >= enqueued; the restored tallies must
   // keep that invariant (they were drained-equal at checkpoint time).
@@ -431,7 +469,7 @@ void StreamEngine::checkpoint_shard(std::size_t shard_index, std::ostream& os,
               "extra producers still registered after the quiesce timeout");
   PSS_REQUIRE(!paused_.load(std::memory_order_relaxed),
               "draining a paused engine would deadlock");
-  drain_shard(shard);
+  drain_shard(shard, std::chrono::steady_clock::now() + kDrainPoll);
   io::write_u64(os, kShardMagic);
   io::write_u64(os, wal_mark);
   io::write_u64(os, shard_index);
@@ -571,6 +609,13 @@ void StreamEngine::worker_loop(Shard& shard) {
       // accepted before stop() is applied (correct shutdown). An empty
       // batch means the sweep above found all rings empty.
       if (stopping_.load(std::memory_order_acquire)) return;
+      if (poll_before_park_ &&
+          poll_until(std::chrono::steady_clock::now() + kIdlePoll, [&] {
+            return !shard.queues_empty() ||
+                   stopping_.load(std::memory_order_relaxed) ||
+                   paused_.load(std::memory_order_relaxed);
+          }))
+        continue;
       // Sleep handshake, consumer half (see wake()): flag, fence, recheck.
       shard.sleeping.store(true, std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -679,6 +724,7 @@ void StreamEngine::worker_loop(Shard& shard) {
       p.session_restores = shard.sessions.num_spill_restores();
       p.spill_errors = shard.sessions.num_spill_errors();
       p.spill_retries = shard.sessions.num_spill_retries();
+      shard.processed.store(p.processed, std::memory_order_release);
     }
     shard.drained_cv.notify_all();  // drain() waiters and blocked producers
   }

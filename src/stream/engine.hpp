@@ -49,6 +49,10 @@
 // Per-shard checkpoints (checkpoint_shard / restore_shard) plus the WAL
 // (stream/recovery) rebuild the lost shard without touching healthy ones.
 //
+// Idle policy: a worker with empty rings, and drain() waiting on a shard,
+// poll briefly before they park on a condition variable — only when the
+// machine has more CPUs than shards (see kIdlePoll / kDrainPoll).
+//
 // Threading contract: engine-level open/feed/advance/close_stream/drain/
 // checkpoint/restore/finish are owner-thread calls (slot 0); each Producer
 // handle serves exactly one additional thread. snapshot() may be called
@@ -57,6 +61,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -368,6 +373,9 @@ class StreamEngine {
     mutable std::mutex stats_mutex;
     std::condition_variable drained_cv;  // signaled on every publish
     ShardSnapshot published;
+    // published.processed, readable without the lock: drain() polls it
+    // before it parks on drained_cv.
+    std::atomic<long long> processed{0};
   };
 
   bool enqueue(std::size_t slot, std::size_t shard_index, ShardOp op);
@@ -379,7 +387,9 @@ class StreamEngine {
   /// Waits up to quiesce_timeout_ms for extra producers to release; on
   /// timeout counts a refusal and returns false.
   bool quiesce_producers();
-  void drain_shard(Shard& shard);
+  /// Waits until `shard` has applied every op enqueued so far, polling
+  /// until `poll` before it parks.
+  void drain_shard(Shard& shard, std::chrono::steady_clock::time_point poll);
   /// Shared config block of the checkpoint formats (shard count, machine,
   /// scheduler mode flags) — what restore compatibility is checked against.
   void write_config(std::ostream& os) const;
@@ -394,6 +404,8 @@ class StreamEngine {
   std::atomic<bool> paused_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> finished_{false};
+  // Whether idle workers and drain() poll before they park (engine.cpp).
+  const bool poll_before_park_;
 
   // Shutdown gate: enqueue() registers in in_flight_ before checking
   // accepting_; stop() flips accepting_ then waits in_flight_ out, so no op

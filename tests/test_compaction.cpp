@@ -360,9 +360,9 @@ TEST(Checkpoint, RejectsMismatchedConfigurationAndGarbage) {
   std::istringstream is1(blob, std::ios::binary);
   EXPECT_THROW(io::load_scheduler(is1, wrong_machine), std::invalid_argument);
 
-  // Mode flags are live, migratable state since PR 10: a differently
-  // configured target adopts the blob's cube position instead of
-  // rejecting it, and continues bitwise identically to the source.
+  // Mode flags are adopted, not required: a differently configured target
+  // takes the blob's mode instead of rejecting it, and continues bitwise
+  // identically to the source.
   PdOptions contiguous;
   contiguous.indexed = false;
   PdScheduler other_mode(kMachine, contiguous);

@@ -293,10 +293,15 @@ TEST(WindowedPd, ResetClearsScreeningState) {
   const Machine machine{2, 2.0};
   PdScheduler scheduler(machine, {});
   ASSERT_TRUE(scheduler.windowed());
-  std::vector<Job> jobs = {
-      make_job(0, 0.0, 8.0, 2.0, util::kInf),
-      make_job(1, 0.0, 8.0, 50.0, 1e-6),  // hopeless: certified reject
-  };
+  // The screen only runs on windows of at least core::kMinScreenWidth
+  // intervals: nested deadlines lay down that many unit intervals first.
+  const double width = double(core::kMinScreenWidth);
+  std::vector<Job> jobs;
+  for (int k = 1; k <= int(core::kMinScreenWidth); ++k)
+    jobs.push_back(make_job(k, 0.0, double(k), 0.02, util::kInf));
+  jobs.push_back(make_job(0, 0.0, width, 2.0, util::kInf));
+  // Hopeless: certified reject.
+  jobs.push_back(make_job(1000, 0.0, width, 50.0, 1e-6));
   for (const Job& job : jobs) (void)scheduler.on_arrival(job);
   const auto first = scheduler.decisions();
   ASSERT_GT(scheduler.counters().window_prunes, 0);
