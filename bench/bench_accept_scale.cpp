@@ -106,8 +106,6 @@ struct AcceptRun {
 AcceptRun run_accept_stream(const std::vector<AcceptJob>& jobs, bool lazy,
                             bool keep_decisions) {
   PdScheduler scheduler(kMachine, {.delta = {},
-                                   .incremental = true,
-                                   .indexed = true,
                                    .windowed = true,
                                    .lazy = lazy});
   AcceptRun run;

@@ -1,6 +1,9 @@
 // Streaming throughput of the online PD scheduler: arrivals/sec and
-// per-arrival latency for the incremental (curve-cache + lazy-sum) engine
-// against the stateless reference engine, across workload densities.
+// per-arrival latency for the production engine (interval store +
+// curve cache + lazy-sum water filling) against core::ReferencePd, the
+// stateless contiguous transcription of Listing 1, across workload
+// densities. Each run is repeated kRepeats times; the JSON reports the
+// fastest repeat and the spread across repeats.
 //
 // The workloads are tick-quantized so boundaries are shared between jobs:
 // `jobs_per_tick` controls how many jobs pile onto each atomic interval
@@ -15,16 +18,21 @@
 //
 // Env knobs (all optional):
 //   PSS_THROUGHPUT_JOBS   instance size for the comparison runs (default 10000)
-//   PSS_THROUGHPUT_SCALE  size of the cached-only scaling run (default 100000,
-//                         0 disables)
+//   PSS_THROUGHPUT_SCALE  size of the production-only scaling run (default
+//                         100000, 0 disables)
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "core/pd_scheduler.hpp"
+#include "core/reference_pd.hpp"
 #include "model/instance.hpp"
 #include "sim/metrics.hpp"
 #include "util/random.hpp"
@@ -33,6 +41,7 @@
 namespace {
 
 using pss::core::PdScheduler;
+using pss::core::ReferencePd;
 
 struct Density {
   std::string name;
@@ -69,57 +78,81 @@ std::vector<pss::model::Job> make_stream(int num_jobs, const Density& density,
 }
 
 struct RunResult {
-  double seconds = 0.0;
+  double seconds = 0.0;      // fastest repeat
+  double seconds_max = 0.0;  // slowest repeat
   double arrivals_per_sec = 0.0;
-  pss::sim::Aggregate latency_us;
+  pss::sim::Aggregate latency_us;  // per-arrival latency of the fastest repeat
   pss::core::PdCounters counters;
   double planned_energy = 0.0;
   std::vector<std::pair<bool, double>> decisions;  // (accepted, speed)
 };
 
-// The three engines whose perf trajectory the JSON tracks: the stateless
-// contiguous reference, the PR-2 curve-cache fast path on the contiguous
-// backend, and the curve cache on the stable-handle interval store.
-// `windowed` is pinned off in all three so the engine labels keep meaning
-// the same machinery across PRs and the committed BENCH_throughput.json
-// stays reproducible; the windowed screen has its own driver
+// The two engines whose perf trajectory the JSON tracks: the reference
+// (core::ReferencePd) and the production engine. `windowed` is pinned off
+// in the production engine so its label keeps meaning the same machinery
+// across changes and the committed BENCH_throughput.json stays
+// reproducible; the windowed screen has its own driver
 // (bench_window_scale) measuring the workload shape it exists for.
-struct Engine {
-  const char* name;
-  pss::core::PdOptions options;
-};
-const std::vector<Engine> kEngines = {
-    {"reference",
-     {.delta = {}, .incremental = false, .indexed = false, .windowed = false}},
-    {"cached",
-     {.delta = {}, .incremental = true, .indexed = false, .windowed = false}},
-    {"indexed",
-     {.delta = {}, .incremental = true, .indexed = true, .windowed = false}},
-};
+const char* const kReference = "reference";
+const char* const kIndexed = "indexed";
+const pss::core::PdOptions kIndexedOptions{.delta = {}, .windowed = false};
 
 constexpr std::uint64_t kStreamSeed = 42;
+constexpr int kRepeats = 5;
 
-RunResult run_engine(const std::vector<pss::model::Job>& jobs,
-                     pss::model::Machine machine,
-                     pss::core::PdOptions options) {
+// One timed pass of `engine` over the stream. The reference keeps no
+// counters, so its accept/reject tallies and partition size are rebuilt
+// from its decisions and final partition (it never compacts, so the final
+// size is the high-water mark).
+template <class Engine>
+RunResult run_once(const std::vector<pss::model::Job>& jobs, Engine& engine) {
   using clock = std::chrono::steady_clock;
-  PdScheduler scheduler(machine, options);
   RunResult result;
   result.decisions.reserve(jobs.size());
   const auto start = clock::now();
   for (const pss::model::Job& job : jobs) {
     const auto t0 = clock::now();
-    const auto decision = scheduler.on_arrival(job);
+    const auto decision = engine.on_arrival(job);
     const auto t1 = clock::now();
     result.latency_us.add(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
     result.decisions.push_back({decision.accepted, decision.speed});
   }
   result.seconds = std::chrono::duration<double>(clock::now() - start).count();
+  result.seconds_max = result.seconds;
   result.arrivals_per_sec = double(jobs.size()) / result.seconds;
-  result.counters = scheduler.counters();
-  result.planned_energy = scheduler.planned_energy();
+  if constexpr (std::is_same_v<Engine, ReferencePd>) {
+    for (const auto& [accepted, speed] : result.decisions)
+      ++(accepted ? result.counters.accepted : result.counters.rejected);
+    result.counters.arrivals = (long long)jobs.size();
+    result.counters.interval_splits = engine.interval_splits();
+    result.counters.max_intervals = engine.partition().num_intervals();
+  } else {
+    result.counters = engine.counters();
+  }
+  result.planned_energy = engine.planned_energy();
   return result;
+}
+
+// kRepeats fresh passes; keeps the fastest and records the slowest.
+RunResult run_engine(const std::vector<pss::model::Job>& jobs,
+                     pss::model::Machine machine, const char* engine) {
+  RunResult best;
+  double slowest = 0.0;
+  for (int r = 0; r < kRepeats; ++r) {
+    RunResult run;
+    if (std::string_view(engine) == kReference) {
+      ReferencePd reference(machine);
+      run = run_once(jobs, reference);
+    } else {
+      PdScheduler scheduler(machine, kIndexedOptions);
+      run = run_once(jobs, scheduler);
+    }
+    slowest = std::max(slowest, run.seconds);
+    if (r == 0 || run.seconds < best.seconds) best = std::move(run);
+  }
+  best.seconds_max = slowest;
+  return best;
 }
 
 int env_int(const char* name, int fallback) {
@@ -128,20 +161,26 @@ int env_int(const char* name, int fallback) {
 }
 
 void BM_PdArrivals(benchmark::State& state) {
-  const bool incremental = state.range(0) != 0;
+  const bool indexed = state.range(0) != 0;
   const auto stream =
       make_stream(2000, kDensities.back(), 2.0, 7);
   for (auto _ : state) {
-    PdScheduler scheduler({4, 2.0}, {.delta = {}, .incremental = incremental});
-    for (const pss::model::Job& job : stream)
-      benchmark::DoNotOptimize(scheduler.on_arrival(job));
+    if (indexed) {
+      PdScheduler scheduler({4, 2.0}, kIndexedOptions);
+      for (const pss::model::Job& job : stream)
+        benchmark::DoNotOptimize(scheduler.on_arrival(job));
+    } else {
+      ReferencePd reference({4, 2.0});
+      for (const pss::model::Job& job : stream)
+        benchmark::DoNotOptimize(reference.on_arrival(job));
+    }
   }
   state.SetItemsProcessed(state.iterations() * std::int64_t(stream.size()));
 }
 BENCHMARK(BM_PdArrivals)
     ->Arg(0)
     ->Arg(1)
-    ->ArgNames({"cached"})
+    ->ArgNames({"indexed"})
     ->Unit(benchmark::kMillisecond);
 
 void add_row(pss::util::Table& table, pss::bench::JsonValue& runs,
@@ -161,6 +200,8 @@ void add_row(pss::util::Table& table, pss::bench::JsonValue& runs,
       .set("jobs", JsonValue::integer(jobs))
       .set("engine", JsonValue::string(engine))
       .set("seconds", JsonValue::number(r.seconds))
+      .set("seconds_max", JsonValue::number(r.seconds_max))
+      .set("spread", JsonValue::number(r.seconds_max / r.seconds - 1.0))
       .set("arrivals_per_sec", JsonValue::number(r.arrivals_per_sec))
       .set("latency_us_mean", JsonValue::number(r.latency_us.mean()))
       .set("latency_us_p50", JsonValue::number(r.latency_us.percentile(50)))
@@ -186,7 +227,7 @@ int main(int argc, char** argv) {
 
   pss::bench::print_header(
       "THROUGHPUT",
-      "streaming PD arrivals/sec, incremental engine vs stateless reference");
+      "streaming PD arrivals/sec, production engine vs ReferencePd");
 
   pss::util::Table table({"workload", "jobs", "engine", "arr/s", "mean us",
                           "p99 us", "accepted", "hit %"});
@@ -199,40 +240,32 @@ int main(int argc, char** argv) {
 
   for (const Density& density : kDensities) {
     const auto stream = make_stream(jobs, density, machine.alpha, kStreamSeed);
-    const RunResult reference = run_engine(stream, machine,
-                                           kEngines.front().options);
-    add_row(table, runs, density.name, jobs, kEngines.front().name,
-            reference);
-    for (std::size_t e = 1; e < kEngines.size(); ++e) {
-      const RunResult fast = run_engine(stream, machine, kEngines[e].options);
-      if (fast.decisions != reference.decisions ||
-          fast.planned_energy != reference.planned_energy) {
-        decisions_match = false;
-        std::cerr << "FATAL: engine '" << kEngines[e].name
-                  << "' disagrees with the reference on workload '"
-                  << density.name << "' — perf numbers void\n";
-      }
-      add_row(table, runs, density.name, jobs, kEngines[e].name, fast);
-      const double speedup =
-          fast.arrivals_per_sec / reference.arrivals_per_sec;
-      speedups.set(std::string(kEngines[e].name) + "_" + density.name + "_" +
-                       std::to_string(jobs),
-                   JsonValue::number(speedup));
-      if (density.name == "dense" &&
-          std::string(kEngines[e].name) == "indexed")
-        dense_speedup = speedup;
+    const RunResult reference = run_engine(stream, machine, kReference);
+    add_row(table, runs, density.name, jobs, kReference, reference);
+    const RunResult fast = run_engine(stream, machine, kIndexed);
+    if (fast.decisions != reference.decisions ||
+        fast.planned_energy != reference.planned_energy ||
+        fast.counters.interval_splits != reference.counters.interval_splits) {
+      decisions_match = false;
+      std::cerr << "FATAL: engine '" << kIndexed
+                << "' disagrees with the reference on workload '"
+                << density.name << "' — perf numbers void\n";
     }
+    add_row(table, runs, density.name, jobs, kIndexed, fast);
+    const double speedup = fast.arrivals_per_sec / reference.arrivals_per_sec;
+    speedups.set(std::string(kIndexed) + "_" + density.name + "_" +
+                     std::to_string(jobs),
+                 JsonValue::number(speedup));
+    if (density.name == "dense") dense_speedup = speedup;
   }
 
   if (scale_jobs > 0) {
-    // Fast-path-only scaling runs: the reference path is too slow here.
+    // Production-only scaling run: the reference is too slow here.
     const Density& density = kDensities.back();
     const auto stream =
         make_stream(scale_jobs, density, machine.alpha, kStreamSeed);
-    for (std::size_t e = 1; e < kEngines.size(); ++e)
-      add_row(table, runs, density.name + "-scale", scale_jobs,
-              kEngines[e].name,
-              run_engine(stream, machine, kEngines[e].options));
+    add_row(table, runs, density.name + "-scale", scale_jobs, kIndexed,
+            run_engine(stream, machine, kIndexed));
   }
 
   pss::bench::emit(table, "throughput.csv");
@@ -244,6 +277,7 @@ int main(int argc, char** argv) {
                                JsonValue::integer(machine.num_processors))
                           .set("alpha", JsonValue::number(machine.alpha)))
       .set("comparison_jobs", JsonValue::integer(jobs))
+      .set("repeats", JsonValue::integer(kRepeats))
       .set("decisions_match", JsonValue::boolean(decisions_match))
       .set("runs", std::move(runs))
       .set("speedup", std::move(speedups));

@@ -154,10 +154,7 @@ struct EngineRun {
 
 EngineRun run_engine(const std::vector<Phase>& phases, bool windowed,
                      bool keep_decisions) {
-  PdScheduler scheduler(kMachine, {.delta = {},
-                                   .incremental = true,
-                                   .indexed = true,
-                                   .windowed = windowed});
+  PdScheduler scheduler(kMachine, {.delta = {}, .windowed = windowed});
   EngineRun run;
   const auto start = clock_type::now();
   for (const Phase& phase : phases) {

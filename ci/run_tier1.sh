@@ -191,20 +191,21 @@ echo "docs-consistency: OK (all emitted BENCH_*.json schemas documented)"
 # recycle handles and rebuild state from byte streams — exactly the code
 # where a stale pointer or uninitialised read hides from a plain build.
 # Build a second tree with ASan+UBSan and run the suites that exercise
-# prefix compaction, checkpoint/restore, the screen-width gate and the
-# stream engine end to end.
+# prefix compaction, checkpoint/restore, restore validation of hostile
+# bytes (test_io), the screen-width gate and the stream engine end to end.
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
-cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_screen_gate
+cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_screen_gate test_io
 cd "${SAN_DIR}"
 UBSAN_OPTIONS=halt_on_error=1 ./test_compaction > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_stream > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_interval_store > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_recovery > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_screen_gate > /dev/null
-echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/screen-gate suites)"
+UBSAN_OPTIONS=halt_on_error=1 ./test_io > /dev/null
+echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/screen-gate/io suites)"
 
 # ThreadSanitizer pass over the concurrent surface: the MPSC rings, the
 # producer handles, the shutdown gate and the engine/ingest suites that

@@ -43,12 +43,11 @@ struct Placement {
     model::IntervalRange window, double work, double max_speed,
     model::JobId ignore_job = -1);
 
-/// Same reference placement over the indexed interval store (the stateless
-/// path of PdOptions{.indexed = true, .incremental = false} and of the
-/// indexed fractional scheduler). Replicates the contiguous overload's
-/// arithmetic operation for operation — per-interval curves built in window
-/// order from the identical load lists, then the materialized curve sum —
-/// so the two backends stay bitwise decision-identical.
+/// Same placement over the indexed interval store (the fractional
+/// scheduler's exact path). Only the window walk differs from the
+/// contiguous overload — per-interval curves are built in window order from
+/// the identical load lists, then the materialized curve sum is inverted —
+/// so the two representations stay bitwise decision-identical.
 [[nodiscard]] std::optional<Placement> water_fill(
     const model::IntervalStore& store, int num_processors,
     model::IntervalRange window, double work, double max_speed,

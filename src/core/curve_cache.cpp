@@ -7,9 +7,8 @@
 
 namespace pss::core {
 
-void CurveCache::reset(std::size_t num_intervals) {
-  entries_.assign(num_intervals, Entry{});
-  handle_entries_.clear();
+void CurveCache::reset() {
+  entries_.clear();
   scratch_.clear();
   out_.clear();
   tree_.clear();
@@ -45,7 +44,7 @@ void CurveCache::on_compacted(
     model::IntervalStore& store, double frontier,
     const std::vector<model::IntervalStore::Handle>& freed) {
   for (const model::IntervalStore::Handle h : freed) {
-    if (std::size_t(h) < handle_entries_.size()) handle_entries_[h] = Entry{};
+    if (std::size_t(h) < entries_.size()) entries_[h] = Entry{};
     tree_.erase(h);
   }
   // Off-grid records behind the frontier are unreachable: every future
@@ -257,13 +256,10 @@ void CurveCache::lazy_flush(model::IntervalStore& store) {
   while (!pending_.empty()) materialize(store, pending_.begin());
 }
 
-const util::PiecewiseLinear& CurveCache::validated_curve(
+const util::PiecewiseLinear& CurveCache::entry_curve(
     const model::IntervalStore& store, int num_processors,
-    model::IntervalStore::Handle h) {
-  if (handle_entries_.size() < store.handle_space())
-    handle_entries_.resize(store.handle_space());
-  Entry& entry = handle_entries_[h];
-  const double length = store.length_of(h);
+    model::IntervalStore::Handle h, double length) {
+  Entry& entry = entries_[h];
   if (entry.built && entry.epoch == store.epoch(h) &&
       entry.length == length) {
     ++stats_.hits;
@@ -278,6 +274,14 @@ const util::PiecewiseLinear& CurveCache::validated_curve(
   return entry.curve;
 }
 
+const util::PiecewiseLinear& CurveCache::validated_curve(
+    const model::IntervalStore& store, int num_processors,
+    model::IntervalStore::Handle h) {
+  if (entries_.size() < store.handle_space())
+    entries_.resize(store.handle_space());
+  return entry_curve(store, num_processors, h, store.length_of(h));
+}
+
 convex::CapacityBounds CurveCache::window_capacity_bounds(
     const model::IntervalStore& store, int num_processors,
     model::IntervalRange window, double speed) {
@@ -289,61 +293,6 @@ convex::CapacityBounds CurveCache::window_capacity_bounds(
       [this](model::IntervalStore::Handle h) -> const util::PiecewiseLinear& {
         return validated_curve(*tree_store_, tree_procs_, h);
       });
-}
-
-void CurveCache::on_split(std::size_t k) {
-  PSS_REQUIRE(k < entries_.size(), "split index out of range");
-  // Both halves changed length and loads; start them unbuilt.
-  entries_[k] = Entry{};
-  entries_.insert(entries_.begin() + std::ptrdiff_t(k) + 1, Entry{});
-}
-
-void CurveCache::on_append() { entries_.emplace_back(); }
-
-void CurveCache::on_prepend() {
-  entries_.insert(entries_.begin(), Entry{});
-}
-
-std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
-    const model::WorkAssignment& assignment,
-    const model::TimePartition& partition, int num_processors,
-    model::IntervalRange window, model::JobId ignore_job) {
-  PSS_REQUIRE(entries_.size() == assignment.num_intervals(),
-              "curve cache drifted from assignment");
-  PSS_REQUIRE(window.last <= entries_.size(), "window exceeds cache");
-  PSS_REQUIRE(window.first < window.last, "empty placement window");
-
-  scratch_.clear();
-  out_.clear();
-  for (std::size_t k = window.first; k < window.last; ++k) {
-    const double length = partition.length(k);
-    if (assignment.load_of(k, ignore_job) != 0.0) {
-      // The excluded job already owns load here (re-placement): this curve
-      // is not the all-loads curve, so build it aside and skip the cache.
-      // Rare path — grow scratch up front so the pointers below stay put.
-      if (scratch_.capacity() < window.size())
-        scratch_.reserve(window.size());
-      scratch_.push_back(chen::insertion_curve(
-          assignment.loads(k), ignore_job, num_processors, length));
-      out_.push_back(&scratch_.back());
-      ++stats_.rebuilds;
-      continue;
-    }
-    Entry& entry = entries_[k];
-    if (entry.built && entry.epoch == assignment.epoch(k) &&
-        entry.length == length) {
-      ++stats_.hits;
-    } else {
-      entry.curve = chen::insertion_curve(assignment.loads(k), ignore_job,
-                                          num_processors, length);
-      entry.epoch = assignment.epoch(k);
-      entry.length = length;
-      entry.built = true;
-      ++stats_.rebuilds;
-    }
-    out_.push_back(&entry.curve);
-  }
-  return out_;
 }
 
 std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
@@ -363,8 +312,8 @@ std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
     PSS_CHECK(!lazy_pending_overlap(t0, t1),
               "curves_for over an unmaterialized lazy range");
   }
-  if (handle_entries_.size() < store.handle_space())
-    handle_entries_.resize(store.handle_space());
+  if (entries_.size() < store.handle_space())
+    entries_.resize(store.handle_space());
 
   scratch_.clear();
   out_.clear();
@@ -376,7 +325,9 @@ std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
                                                  : store.start_of(next)) -
         store.start_of(h);
     if (store.load_of(h, ignore_job) != 0.0) {
-      // Same tainted-curve path as the contiguous variant.
+      // The excluded job already owns load here (re-placement): this curve
+      // is not the all-loads curve, so build it aside and skip the cache.
+      // Rare path — grow scratch up front so the pointers below stay put.
       if (scratch_.capacity() < window.size())
         scratch_.reserve(window.size());
       scratch_.push_back(chen::insertion_curve(store.loads(h), ignore_job,
@@ -384,19 +335,8 @@ std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
       out_.push_back(&scratch_.back());
       ++stats_.rebuilds;
     } else {
-      Entry& entry = handle_entries_[h];
-      if (entry.built && entry.epoch == store.epoch(h) &&
-          entry.length == length) {
-        ++stats_.hits;
-      } else {
-        entry.curve = chen::insertion_curve(store.loads(h), ignore_job,
-                                            num_processors, length);
-        entry.epoch = store.epoch(h);
-        entry.length = length;
-        entry.built = true;
-        ++stats_.rebuilds;
-      }
-      out_.push_back(&entry.curve);
+      // ignore_job holds no load here, so the all-loads curve is its curve.
+      out_.push_back(&entry_curve(store, num_processors, h, length));
     }
     h = next;
   }

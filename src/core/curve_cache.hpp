@@ -8,19 +8,11 @@
 // the per-interval epoch counter, so a stale entry is detected without any
 // explicit invalidation call on the load path.
 //
-// Two keying schemes, matching the two OnlineState backends:
-//   * position-keyed (contiguous backend): structural refinements of the
-//     online partition shift interval indices; the owner mirrors them
-//     through on_split / on_append / on_prepend so cached curves stay
-//     aligned with their intervals. A prepend, in particular, keeps every
-//     previously built curve valid — the entries shift with their epochs.
-//     Each mirroring call is itself an O(n) vector shift.
-//   * handle-keyed (model::IntervalStore backend): entries live in a slab
-//     addressed by the store's stable handles, so no structural mirroring
-//     exists at all. A split allocates a fresh handle (fresh, unbuilt
-//     entry) for the right half and bumps the left half's epoch and
-//     length, which the ordinary hit validation already catches — the
-//     structural cost on the cache drops to O(1).
+// Entries live in a slab addressed by model::IntervalStore's stable
+// handles, so structural refinements need no mirroring at all: a split
+// allocates a fresh handle (fresh, unbuilt entry) for the right half and
+// bumps the left half's epoch and length, which the ordinary hit
+// validation already catches — the structural cost on the cache is O(1).
 #pragma once
 
 #include <cstddef>
@@ -32,8 +24,6 @@
 
 #include "convex/curve_segment_tree.hpp"
 #include "model/interval_store.hpp"
-#include "model/time_partition.hpp"
-#include "model/work_assignment.hpp"
 #include "util/piecewise_linear.hpp"
 
 namespace pss::core {
@@ -45,42 +35,25 @@ class CurveCache {
     long long rebuilds = 0;  // curves (re)built from interval loads
   };
 
-  /// Drops everything (both keying schemes) and resizes the position-keyed
-  /// pool to `num_intervals` unbuilt slots.
-  void reset(std::size_t num_intervals);
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
-  // Structural mirroring of the online partition refinements — contiguous
-  // backend only. Must be called in lockstep with the matching
-  // WorkAssignment mutation. The handle-keyed pool needs no equivalent.
-  void on_split(std::size_t k);
-  void on_append();
-  void on_prepend();
+  /// Drops everything: cached curves, tree summaries and lazy state.
+  void reset();
 
   /// Per-interval insertion curves for `window`, excluding `ignore_job`.
-  /// Entries whose epoch and length still match are served as hits; stale
-  /// entries rebuild and re-cache. An interval that currently holds a load
+  /// Entries whose epoch and length still match the store are served as
+  /// hits; stale entries rebuild and re-cache, so refinements between
+  /// calls need no notification. An interval that currently holds a load
   /// of `ignore_job` is built into scratch storage and not cached (the
   /// cached curve must describe all committed loads). The span views a
   /// reused member buffer — no per-call allocation on the hot path — and
-  /// stays valid until the next call or structural notification.
-  [[nodiscard]] std::span<const util::PiecewiseLinear* const> curves_for(
-      const model::WorkAssignment& assignment,
-      const model::TimePartition& partition, int num_processors,
-      model::IntervalRange window, model::JobId ignore_job = -1);
-
-  /// Handle-keyed variant over the indexed interval store. Same hit
-  /// semantics and identical curve arithmetic; entries are validated by
-  /// (epoch, length) against the store, so refinements between calls need
-  /// no notification. The slab grows lazily with the store's handle space.
+  /// stays valid until the next call. The slab grows lazily with the
+  /// store's handle space.
   [[nodiscard]] std::span<const util::PiecewiseLinear* const> curves_for(
       const model::IntervalStore& store, int num_processors,
       model::IntervalRange window, model::JobId ignore_job = -1);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  // -- windowed screening (convex::CurveSegmentTree, indexed backend) ------
+  // -- windowed screening (convex::CurveSegmentTree) ------------------------
   //
   // The cache owns the segment tree over per-interval insertion curves and
   // is the contract point for keeping it honest: schedulers report every
@@ -116,7 +89,7 @@ class CurveCache {
     return tree_;
   }
 
-  // -- horizon compaction (indexed backend) --------------------------------
+  // -- horizon compaction ---------------------------------------------------
 
   /// Cache-side half of a prefix compaction the owner just ran on the
   /// store: releases the freed handles' cached curves, prunes their tree
@@ -128,7 +101,7 @@ class CurveCache {
   void on_compacted(model::IntervalStore& store, double frontier,
                     const std::vector<model::IntervalStore::Handle>& freed);
 
-  // -- lazy water-level annotations (PdOptions::lazy, indexed backend) -----
+  // -- lazy water-level annotations (PdOptions::lazy) -----------------------
   //
   // An accepted virgin-uniform-window job is recorded as ONE range
   // annotation {[t0, t1), job, amount, first_amount} instead of a load
@@ -236,8 +209,7 @@ class CurveCache {
     util::PiecewiseLinear curve;
   };
 
-  std::vector<Entry> entries_;         // position-keyed (contiguous backend)
-  std::vector<Entry> handle_entries_;  // handle-keyed (indexed backend)
+  std::vector<Entry> entries_;  // slab indexed by store handle
   std::vector<util::PiecewiseLinear> scratch_;  // ignore_job-tainted curves
   std::vector<const util::PiecewiseLinear*> out_;  // curves_for result buffer
   convex::CurveSegmentTree tree_;  // windowed screening summaries
@@ -255,6 +227,12 @@ class CurveCache {
     double amount = 0.0;        // per-interval share
     double first_amount = 0.0;  // first interval: share + residue
   };
+  // The all-loads curve of `h` (of the given length) from its slab entry,
+  // rebuilt when the entry's epoch or length no longer matches the store.
+  const util::PiecewiseLinear& entry_curve(const model::IntervalStore& store,
+                                           int num_processors,
+                                           model::IntervalStore::Handle h,
+                                           double length);
   void observe_boundary(const model::IntervalStore& store, double t);
   void classify_boundary(double t);
   void materialize(model::IntervalStore& store,

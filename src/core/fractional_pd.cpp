@@ -24,12 +24,11 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
   const model::PowerFunction power(alpha);
 
   OnlineState state;
-  state.indexed = options.indexed;
   // Windowed screening state (see FractionalPdOptions::windowed). Jobs are
   // processed once each with instance-unique ids, so the all-loads bounds
   // always describe the arriving job's exclusion view exactly.
-  const bool windowed = options.windowed && options.indexed;
-  const bool lazy = options.lazy && options.indexed;
+  const bool windowed = options.windowed;
+  const bool lazy = options.lazy;
   CurveCache cache;
   cache.enable_lazy(lazy);
   FractionalPdResult result;
@@ -37,12 +36,9 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
   result.lambda.assign(instance.num_jobs(), 0.0);
 
   for (const model::Job& job : instance.jobs_by_release()) {
-    CurveCache* hook = state.indexed ? &cache : nullptr;
-    state.ensure_boundary(job.release, hook);
-    state.ensure_boundary(job.deadline, hook);
-    const auto window = state.indexed
-                            ? state.store.range(job.release, job.deadline)
-                            : state.partition.job_range(job);
+    state.ensure_boundary(job.release, &cache);
+    state.ensure_boundary(job.deadline, &cache);
+    const auto window = state.store.range(job.release, job.deadline);
     // The full-service certificate below (bounds.lo >= work) would be
     // unsound against bounds that miss pending load, so expand any
     // annotation intersecting this window before screening. Reject-side
@@ -52,7 +48,7 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
     const double s_cap = rejection_speed(job.value, job.work, alpha, delta);
 
     // Certified shortcuts off the segment-tree bounds; anything
-    // inconclusive computes the capacity with the exact reference scan.
+    // inconclusive computes the capacity with the exact scan.
     // A zero-value job has s_cap == 0 (finite): skip the screen — the
     // tree requires a positive speed — and let the exact scan return its
     // zero capacity as on the unscreened engine.
@@ -112,39 +108,23 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
     const double capacity =
         full_certified || !std::isfinite(s_cap)
             ? util::kInf
-            : (state.indexed
-                   ? convex::window_capacity(state.store,
-                                             machine.num_processors, window,
-                                             s_cap, job.id)
-                   : convex::window_capacity(state.assignment, state.partition,
-                                             machine.num_processors, window,
-                                             s_cap, job.id));
+            : convex::window_capacity(state.store, machine.num_processors,
+                                      window, s_cap, job.id);
     const double target = std::min(job.work, capacity);
     if (target <= 1e-12 * job.work) {
       result.lambda[std::size_t(job.id)] = job.value;
       continue;  // fully unserved
     }
-    auto placement =
-        state.indexed
-            ? convex::water_fill(state.store, machine.num_processors, window,
-                                 target, util::kInf, job.id)
-            : convex::water_fill(state.assignment, state.partition,
-                                 machine.num_processors, window, target,
-                                 util::kInf, job.id);
+    auto placement = convex::water_fill(state.store, machine.num_processors,
+                                        window, target, util::kInf, job.id);
     PSS_CHECK(placement.has_value(), "fractional placement failed");
-    if (state.indexed) {
-      model::IntervalStore::Handle h = state.store.handle_at(window.first);
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        state.store.set_load(h, job.id, placement->amounts[i]);
-        if (windowed) cache.note_load_changed(h);
-        h = state.store.next_handle(h);
-      }
-      if (lazy) cache.note_commit_extent(job.release, job.deadline);
-    } else {
-      for (std::size_t i = 0; i < window.size(); ++i)
-        state.assignment.set_load(window.first + i, job.id,
-                                  placement->amounts[i]);
+    model::IntervalStore::Handle h = state.store.handle_at(window.first);
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      state.store.set_load(h, job.id, placement->amounts[i]);
+      if (windowed) cache.note_load_changed(h);
+      h = state.store.next_handle(h);
     }
+    if (lazy) cache.note_commit_extent(job.release, job.deadline);
     result.fraction[std::size_t(job.id)] = target / job.work;
     // Full service below the cap fixes lambda at the realized marginal;
     // partial service means the marginal hit the price v_j.
@@ -159,10 +139,8 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
     result.lazy_commits = cache.lazy_stats().commits;
     result.lazy_materializations = cache.lazy_stats().materializations;
   }
-  result.partition = state.indexed ? state.store.snapshot_partition()
-                                   : state.partition;
-  result.assignment = state.indexed ? state.store.snapshot_assignment()
-                                    : state.assignment;
+  result.partition = state.store.snapshot_partition();
+  result.assignment = state.store.snapshot_assignment();
   result.schedule = chen::realize_assignment(
       result.assignment, result.partition, machine.num_processors);
   result.energy = convex::assignment_energy(

@@ -38,27 +38,22 @@ struct FractionalPdOptions {
   /// Pricing parameter; nullopt selects delta = 1 (true marginal-cost
   /// pricing — see the header comment for why this differs from PD).
   std::optional<double> delta;
-  /// Run the online state on the stable-handle model::IntervalStore
-  /// (O(log n) Section-3 refinements) instead of the contiguous reference
-  /// backend. Identical arithmetic either way — the result is bitwise
-  /// equal (tests/test_differential.cpp).
-  bool indexed = true;
-  /// Screen arrivals through the convex::CurveSegmentTree capacity bounds
-  /// (indexed backend only; inert otherwise). Two certified shortcuts,
-  /// both bitwise identical to the unscreened run: a window whose upper
+  /// Screen arrivals through the convex::CurveSegmentTree capacity bounds.
+  /// Two certified shortcuts, both bitwise identical to the unscreened run
+  /// and to core::run_reference_fractional_pd: a window whose upper
   /// capacity bound is below the dust threshold is fully unserved without
   /// scanning it, and one whose lower bound covers the whole workload is
   /// fully served with target = work without computing the exact capacity.
   /// Partial service (the inconclusive band) always takes the exact scan.
   bool windowed = true;
-  /// Lazy water-level commits (indexed backend only; inert otherwise).
-  /// Same mechanism as PdOptions::lazy: a job whose window is a certified
-  /// virgin uniform range is served through the closed-form replay
-  /// (convex::water_fill_uniform / window_capacity_uniform) and committed
-  /// as one range annotation. Because the *full-service* certificate
-  /// (lo >= work) is unsound against stale bounds, pending annotations
-  /// intersecting the window are materialized before the screen — the
-  /// result stays bitwise identical to lazy=false.
+  /// Lazy water-level commits. Same mechanism as PdOptions::lazy: a job
+  /// whose window is a certified virgin uniform range is served through
+  /// the closed-form replay (convex::water_fill_uniform /
+  /// window_capacity_uniform) and committed as one range annotation.
+  /// Because the *full-service* certificate (lo >= work) is unsound
+  /// against stale bounds, pending annotations intersecting the window are
+  /// materialized before the screen — the result stays bitwise identical
+  /// to lazy=false.
   bool lazy = true;
 };
 

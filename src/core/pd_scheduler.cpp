@@ -17,23 +17,13 @@ namespace pss::core {
 PdScheduler::PdScheduler(model::Machine machine, PdOptions options)
     : machine_(machine),
       delta_(options.delta.value_or(optimal_delta(machine.alpha))),
-      incremental_(options.incremental),
-      indexed_(options.indexed),
-      // The screen and the lazy annotations live on the indexed store.
-      windowed_(options.windowed && options.indexed),
-      lazy_(options.lazy && options.indexed),
+      windowed_(options.windowed),
+      lazy_(options.lazy),
       record_decisions_(options.record_decisions) {
   PSS_REQUIRE(machine_.num_processors >= 1, "need at least one processor");
   PSS_REQUIRE(machine_.alpha > 1.0, "alpha must exceed 1");
   PSS_REQUIRE(delta_ > 0.0, "delta must be positive");
-  state_.indexed = indexed_;
   cache_.enable_lazy(lazy_);
-}
-
-void PdScheduler::ensure_boundary(double t) {
-  // The cache mirrors structural refinements even on the reference path so
-  // the two modes share one state-transition code path.
-  state_.ensure_boundary(t, &cache_);
 }
 
 void PdScheduler::advance_to(double t, bool compact) {
@@ -45,7 +35,7 @@ void PdScheduler::advance_to(double t, bool compact) {
   // and dirties no cache, so heartbeat ticks cannot grow the partition.
   first_arrival_ = false;
   last_release_ = std::max(last_release_, t);
-  if (compact && indexed_) compact_before(t - util::clock_tol(t));
+  if (compact) compact_before(t - util::clock_tol(t));
 }
 
 void PdScheduler::compact_before(double frontier) {
@@ -89,11 +79,10 @@ void PdScheduler::compact_before(double frontier) {
 
 void PdScheduler::reset() {
   state_ = OnlineState{};
-  state_.indexed = indexed_;
   // reset() drops all lazy state (pending annotations, extent, grid) but
   // keeps the lazy mode flag — a recycled session must neither replay
   // stale water levels nor silently change engine variant.
-  cache_.reset(0);
+  cache_.reset();
   accepted_ids_.clear();
   decisions_.clear();
   freed_scratch_.clear();
@@ -113,15 +102,13 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
               "jobs must arrive in nondecreasing release order");
   last_release_ = std::max(last_release_, job.release);
 
-  ensure_boundary(job.release);
+  state_.ensure_boundary(job.release, &cache_);
   first_arrival_ = false;
-  ensure_boundary(job.deadline);
+  state_.ensure_boundary(job.deadline, &cache_);
 
   const double alpha = machine_.alpha;
   const model::PowerFunction power(alpha);
-  const auto window = indexed_
-                          ? state_.store.range(job.release, job.deadline)
-                          : state_.partition.job_range(job);
+  const auto window = state_.store.range(job.release, job.deadline);
   const double s_reject = rejection_speed(job.value, job.work, alpha, delta_);
 
   // Windowed screen: certified capacity bounds from the segment tree. A
@@ -145,100 +132,64 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
     ++(screened_reject ? counters_.window_prunes : counters_.window_exact);
   }
 
-  ArrivalDecision decision;
-  bool lazy_done = false;
-  if (!screened_reject && lazy_) {
-    double unit = 0.0;
-    if (s_reject > 0.0 &&
-        cache_.lazy_virgin_uniform(state_.store, job.release, job.deadline,
-                                   window.size(), &unit)) {
-      // Certified closed-form replay: the window is provably `size` empty
-      // intervals of bitwise-equal length, so the exact engines' entire
-      // arithmetic collapses to water_fill_uniform. An accept becomes one
-      // O(log n) range annotation instead of a per-interval commit loop.
-      const convex::UniformFill fill = convex::water_fill_uniform(
-          unit, window.size(), machine_.num_processors, job.work, s_reject);
-      ++counters_.lazy_fast_path;
-      if (fill.accepted) {
-        decision.accepted = true;
-        decision.speed = fill.level;
-        decision.lambda =
-            delta_ * job.work * power.derivative(fill.level);
-        decision.planned_energy =
-            job.work * util::pos_pow(fill.level, alpha - 1.0);
-        cache_.lazy_commit(job.release, job.deadline, job.id, fill.amount,
-                           fill.first_amount);
-        if (windowed_) {
-          double& dl = accepted_ids_[job.id];
-          dl = std::max(dl, job.deadline);
-        }
-      } else {
-        decision.accepted = false;
-        decision.speed = s_reject;
-        decision.lambda = job.value;
-        decision.planned_energy = 0.0;
-      }
-      lazy_done = true;
-    } else {
-      // Exact fallback is about to read the window's loads: expand any
-      // annotation intersecting it so it sees the eager state.
-      cache_.lazy_materialize_range(state_.store, job.release, job.deadline);
+  // Decide: s* when the job is accepted, nullopt when it is rejected.
+  std::optional<double> level;
+  double unit = 0.0;
+  if (screened_reject) {
+    // Certified by the screen; the window was never touched.
+  } else if (lazy_ && s_reject > 0.0 &&
+             cache_.lazy_virgin_uniform(state_.store, job.release,
+                                        job.deadline, window.size(), &unit)) {
+    // Certified closed-form replay: the window is provably `size` empty
+    // intervals of bitwise-equal length, so the exact engines' entire
+    // arithmetic collapses to water_fill_uniform. An accept becomes one
+    // O(log n) range annotation instead of a per-interval commit loop.
+    const convex::UniformFill fill = convex::water_fill_uniform(
+        unit, window.size(), machine_.num_processors, job.work, s_reject);
+    ++counters_.lazy_fast_path;
+    if (fill.accepted) {
+      level = fill.level;
+      cache_.lazy_commit(job.release, job.deadline, job.id, fill.amount,
+                         fill.first_amount);
     }
-  }
-  std::optional<convex::Placement> placement;
-  if (lazy_done) {
-    placement = std::nullopt;  // unused; decision already made above
-  } else if (screened_reject) {
-    placement = std::nullopt;
-  } else if (indexed_ && incremental_) {
+  } else {
+    // The exact water fill reads the window's loads: expand any lazy
+    // annotation intersecting it first so it sees the eager state.
+    if (lazy_)
+      cache_.lazy_materialize_range(state_.store, job.release, job.deadline);
     const auto curves = cache_.curves_for(
         state_.store, machine_.num_processors, window, job.id);
-    placement = convex::water_fill_over_curves(curves, job.work, s_reject);
-  } else if (indexed_) {
-    placement = convex::water_fill(state_.store, machine_.num_processors,
-                                   window, job.work, s_reject, job.id);
-  } else if (incremental_) {
-    const auto curves =
-        cache_.curves_for(state_.assignment, state_.partition,
-                          machine_.num_processors, window, job.id);
-    placement = convex::water_fill_over_curves(curves, job.work, s_reject);
-  } else {
-    placement = convex::water_fill(state_.assignment, state_.partition,
-                                   machine_.num_processors, window, job.work,
-                                   s_reject, job.id);
-  }
-  if (lazy_done) {
-    // Decision fields were filled by the closed-form replay.
-  } else if (!placement.has_value()) {
-    // Line 12(b): the marginal hit v_j first; reset loads, fix lambda = v.
-    decision.accepted = false;
-    decision.speed = s_reject;
-    decision.lambda = job.value;
-    decision.planned_energy = 0.0;
-  } else {
-    // Line 11(a): full workload placed at uniform own-speed s*.
-    decision.accepted = true;
-    decision.speed = placement->speed;
-    decision.lambda = delta_ * job.work * power.derivative(placement->speed);
-    decision.planned_energy =
-        job.work * util::pos_pow(placement->speed, alpha - 1.0);
-    if (indexed_) {
+    const auto placement =
+        convex::water_fill_over_curves(curves, job.work, s_reject);
+    if (placement.has_value()) {
+      level = placement->speed;
       model::IntervalStore::Handle h = state_.store.handle_at(window.first);
       for (std::size_t i = 0; i < window.size(); ++i) {
         state_.store.set_load(h, job.id, placement->amounts[i]);
         if (windowed_) cache_.note_load_changed(h);
         h = state_.store.next_handle(h);
       }
-      if (windowed_) {
-        double& dl = accepted_ids_[job.id];
-        dl = std::max(dl, job.deadline);
-      }
       if (lazy_) cache_.note_commit_extent(job.release, job.deadline);
-    } else {
-      for (std::size_t i = 0; i < window.size(); ++i)
-        state_.assignment.set_load(window.first + i, job.id,
-                                   placement->amounts[i]);
     }
+  }
+
+  ArrivalDecision decision;
+  if (level.has_value()) {
+    // Line 11(a): full workload placed at uniform own-speed s*.
+    decision.accepted = true;
+    decision.speed = *level;
+    decision.lambda = delta_ * job.work * power.derivative(*level);
+    decision.planned_energy = job.work * util::pos_pow(*level, alpha - 1.0);
+    if (windowed_) {
+      double& dl = accepted_ids_[job.id];
+      dl = std::max(dl, job.deadline);
+    }
+  } else {
+    // Line 12(b): the marginal hit v_j first; reset loads, fix lambda = v.
+    decision.accepted = false;
+    decision.speed = s_reject;
+    decision.lambda = job.value;
+    decision.planned_energy = 0.0;
   }
   ++counters_.arrivals;
   (decision.accepted ? counters_.accepted : counters_.rejected) += 1;
@@ -264,28 +215,20 @@ void PdScheduler::flush_lazy() const {
 }
 
 double PdScheduler::planned_energy() const {
-  // Indexed backend: materialize once and reuse the contiguous evaluator —
-  // cold path, and the snapshot loads are bitwise-identical to the
-  // contiguous backend's, so the energy is too.
-  if (indexed_) {
-    flush_lazy();
-    return convex::assignment_energy(
-        state_.store.snapshot_assignment(), state_.store.snapshot_partition(),
-        machine_.num_processors, machine_.alpha, retired_energy_);
-  }
-  return convex::assignment_energy(state_.assignment, state_.partition,
-                                   machine_.num_processors, machine_.alpha,
-                                   retired_energy_);
+  // Cold path: materialize once and reuse the contiguous evaluator — the
+  // snapshot loads are bitwise-identical to the reference engine's, so the
+  // energy is too.
+  flush_lazy();
+  return convex::assignment_energy(
+      state_.store.snapshot_assignment(), state_.store.snapshot_partition(),
+      machine_.num_processors, machine_.alpha, retired_energy_);
 }
 
 model::Schedule PdScheduler::final_schedule() const {
   flush_lazy();
-  model::Schedule schedule =
-      indexed_ ? chen::realize_assignment(state_.store.snapshot_assignment(),
-                                          state_.store.snapshot_partition(),
-                                          machine_.num_processors)
-               : chen::realize_assignment(state_.assignment, state_.partition,
-                                          machine_.num_processors);
+  model::Schedule schedule = chen::realize_assignment(
+      state_.store.snapshot_assignment(), state_.store.snapshot_partition(),
+      machine_.num_processors);
   for (const auto& [id, decision] : decisions_)
     if (!decision.accepted) schedule.mark_rejected(id);
   return schedule;

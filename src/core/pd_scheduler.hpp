@@ -48,48 +48,30 @@ namespace pss::core {
 struct PdOptions {
   /// PD's parameter; nullopt selects the paper-optimal alpha^(1-alpha).
   std::optional<double> delta;
-  /// Place arrivals through the per-interval insertion-curve cache and the
-  /// lazy-sum water filling (the fast path). false recomputes every curve
-  /// from scratch per arrival — the stateless reference implementation.
-  /// Both paths commit bit-identical decisions (tests/test_differential).
-  bool incremental = true;
-  /// Keep the online state in the stable-handle model::IntervalStore, so
-  /// every Section-3 refinement (boundary insert, split, append, prepend)
-  /// is O(log n) instead of the contiguous representation's O(n) vector
-  /// shifts — the difference between flat and linearly-degrading
-  /// per-arrival cost at million-interval horizons (bench_horizon_scale).
-  /// false selects the contiguous TimePartition + WorkAssignment backend,
-  /// retained as the reference the differential suite compares against.
-  /// All four {incremental} x {indexed} combinations commit bit-identical
-  /// decisions.
-  bool indexed = true;
   /// Screen wide-window arrivals through the convex::CurveSegmentTree
   /// capacity bounds before touching the window: a rejection the bounds
   /// certify costs O(log n · log knots) instead of O(window), and an
   /// inconclusive screen falls back to the exact linear scan — so every
-  /// decision stays bitwise identical to the windowed=false engine (the
-  /// extended differential matrix proves {incremental} x {indexed} x
-  /// {windowed} pairwise identical). Only meaningful on the indexed
-  /// backend; with indexed=false the option is inert. Accepted arrivals
+  /// decision stays bitwise identical to the windowed=false engine and to
+  /// core::ReferencePd (tests/test_differential.cpp). Accepted arrivals
   /// are Ω(window) regardless (they commit a load into every window
   /// interval), so the screen targets the rejection path — the case where
   /// a heavy-lookahead arrival previously paid O(window) for nothing.
   /// Windows narrower than kMinScreenWidth skip the screen: their exact
   /// scan is cheaper than the tree's query-time recombination.
   bool windowed = true;
-  /// Lazy water-level accepts (indexed backend only; inert otherwise).
-  /// An arrival whose window is a certified *virgin uniform* range — all
-  /// interval lengths bitwise equal to the detected power-of-two grid
-  /// unit, no committed or pending load — is decided by the O(log n)
-  /// closed-form replay convex::water_fill_uniform and, if accepted,
-  /// recorded as a single range annotation in the CurveCache instead of
-  /// one load write per window interval. Annotations materialize into
-  /// ordinary loads on first touch (split, exact fallback, snapshot), so
-  /// every observable decision/load/energy is bitwise identical to the
-  /// eager engine — lazy=false is retained as the bitwise reference, and
-  /// the differential cube {incremental}x{indexed}x{windowed}x{lazy}
-  /// proves it. This is what makes accept-heavy wide-window streams
-  /// sub-linear per accept (bench_accept_scale / BENCH_accept.json).
+  /// Lazy water-level accepts. An arrival whose window is a certified
+  /// *virgin uniform* range — all interval lengths bitwise equal to the
+  /// detected power-of-two grid unit, no committed or pending load — is
+  /// decided by the O(log n) closed-form replay convex::water_fill_uniform
+  /// and, if accepted, recorded as a single range annotation in the
+  /// CurveCache instead of one load write per window interval. Annotations
+  /// materialize into ordinary loads on first touch (split, exact
+  /// fallback, snapshot), so every observable decision/load/energy is
+  /// bitwise identical to the eager engine — the differential suite holds
+  /// all four {windowed} x {lazy} variants to core::ReferencePd. This is
+  /// what makes accept-heavy wide-window streams sub-linear per accept
+  /// (bench_accept_scale / BENCH_accept.json).
   bool lazy = true;
   /// Keep the per-arrival decision log behind decisions() (and the
   /// rejected marks of final_schedule()). The log grows one entry per
@@ -225,8 +207,7 @@ class PdScheduler {
   /// Advances the release-order monotonicity clock to t without an arrival
   /// — structure-free: no boundary is inserted and no cache is dirtied, so
   /// a periodic heartbeat leaves the partition exactly as arrivals built
-  /// it. With compact = true (indexed backend; inert otherwise, like
-  /// windowed/lazy), additionally retires every interval ending at or
+  /// it. With compact = true, additionally retires every interval ending at or
   /// before the frontier t - util::clock_tol(t): the retired prefix's
   /// energy moves into retired_energy(), its store/cache/tree state is
   /// reclaimed, and — because any future arrival has release within
@@ -240,26 +221,21 @@ class PdScheduler {
   /// stream instead of being destroyed and reallocated.
   void reset();
 
-  /// The committed partition / assignment. On the contiguous backend these
-  /// are references to the live state; on the indexed backend (the
-  /// default) each call materializes a fresh snapshot into a member buffer
-  /// — O(n), meant for inspection and end-of-run consumers, not for the
-  /// arrival hot path. A returned reference is invalidated by the next
-  /// call to the same accessor.
+  /// The committed partition / assignment. Each call materializes a fresh
+  /// snapshot of the interval store into a member buffer — O(n), meant for
+  /// inspection and end-of-run consumers, not for the arrival hot path. A
+  /// returned reference is invalidated by the next call to the same
+  /// accessor.
   [[nodiscard]] const model::TimePartition& partition() const {
-    if (!indexed_) return state_.partition;
     partition_snapshot_ = state_.store.snapshot_partition();
     return partition_snapshot_;
   }
   [[nodiscard]] const model::WorkAssignment& assignment() const {
-    if (!indexed_) return state_.assignment;
     flush_lazy();  // pending annotations must land before a load snapshot
     assignment_snapshot_ = state_.store.snapshot_assignment();
     return assignment_snapshot_;
   }
   [[nodiscard]] double delta() const { return delta_; }
-  [[nodiscard]] bool incremental() const { return incremental_; }
-  [[nodiscard]] bool indexed() const { return indexed_; }
   [[nodiscard]] bool windowed() const { return windowed_; }
   [[nodiscard]] bool lazy() const { return lazy_; }
   /// The windowed screen's segment tree (inspection only): its query
@@ -281,11 +257,11 @@ class PdScheduler {
   [[nodiscard]] std::size_t live_intervals() const {
     return state_.num_intervals();
   }
-  /// Slab footprint proxy: handle-space of the indexed store (0 on the
-  /// contiguous backend). Stays bounded under steady-state compaction
-  /// because freed handles are recycled.
+  /// Slab footprint proxy: handle-space of the interval store. Stays
+  /// bounded under steady-state compaction because freed handles are
+  /// recycled.
   [[nodiscard]] std::size_t handle_space() const {
-    return indexed_ ? state_.store.handle_space() : 0;
+    return state_.store.handle_space();
   }
 
   /// Concrete migration schedule realizing the committed plan.
@@ -303,7 +279,6 @@ class PdScheduler {
   friend void io::save_scheduler(std::ostream&, const core::PdScheduler&);
   friend void io::load_scheduler(std::istream&, core::PdScheduler&);
 
-  void ensure_boundary(double t);
   /// Retires every interval ending at or before `frontier`: accumulates
   /// their energy, reclaims store/cache/tree state, and drops accepted-id
   /// records whose whole window is behind the frontier (their loads cannot
@@ -318,8 +293,6 @@ class PdScheduler {
   model::Machine machine_;
   double delta_;
   // Mode flags; io::load_scheduler adopts a checkpoint's mode into them.
-  bool incremental_;
-  bool indexed_;
   bool windowed_;
   bool lazy_;
   bool record_decisions_;
@@ -332,8 +305,8 @@ class PdScheduler {
   // the exact re-placement path. Compaction erases records whose deadline
   // is behind the frontier, bounding the map by the live window.
   std::unordered_map<model::JobId, double> accepted_ids_;
-  // Snapshot buffers backing the partition()/assignment() accessors on the
-  // indexed backend (cold path; see the accessor comment).
+  // Snapshot buffers backing the partition()/assignment() accessors (cold
+  // path; see the accessor comment).
   mutable model::TimePartition partition_snapshot_;
   mutable model::WorkAssignment assignment_snapshot_;
   std::vector<std::pair<model::JobId, ArrivalDecision>> decisions_;

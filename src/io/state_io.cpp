@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -196,8 +197,6 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
   write_i64(os, s.machine_.num_processors);
   write_f64(os, s.machine_.alpha);
   write_f64(os, s.delta_);
-  write_bool(os, s.incremental_);
-  write_bool(os, s.indexed_);
   write_bool(os, s.windowed_);
   write_bool(os, s.lazy_);
   write_bool(os, s.record_decisions_);
@@ -212,28 +211,19 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
   // same order. Load vectors keep their in-interval order (commit order) —
   // interval_energy sums them left to right, so order is part of the
   // bitwise contract.
-  if (s.indexed_) {
-    const model::IntervalStore& store = s.state_.store;
-    const std::size_t nb = store.num_boundaries();
-    write_u64(os, nb);
-    if (nb > 0) {
-      write_f64(os, store.front_boundary());
-      for (auto h = store.front_handle(); h != model::IntervalStore::kNoHandle;
-           h = store.next_handle(h))
-        write_f64(os, store.end_of(h));
-    }
-    write_u64(os, store.num_intervals());
+  const model::IntervalStore& store = s.state_.store;
+  const std::size_t nb = store.num_boundaries();
+  write_u64(os, nb);
+  if (nb > 0) {
+    write_f64(os, store.front_boundary());
     for (auto h = store.front_handle(); h != model::IntervalStore::kNoHandle;
          h = store.next_handle(h))
-      save_loads(os, store.loads(h));
-  } else {
-    const auto& boundaries = s.state_.partition.boundaries();
-    write_u64(os, boundaries.size());
-    for (double b : boundaries) write_f64(os, b);
-    write_u64(os, s.state_.assignment.num_intervals());
-    for (std::size_t k = 0; k < s.state_.assignment.num_intervals(); ++k)
-      save_loads(os, s.state_.assignment.loads(k));
+      write_f64(os, store.end_of(h));
   }
+  write_u64(os, store.num_intervals());
+  for (auto h = store.front_handle(); h != model::IntervalStore::kNoHandle;
+       h = store.next_handle(h))
+    save_loads(os, store.loads(h));
 
   // Accepted-id records in ascending id order (deterministic bytes).
   std::vector<std::pair<model::JobId, double>> accepted(
@@ -263,8 +253,6 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
               "checkpoint machine mismatch");
   PSS_REQUIRE(read_f64(is) == s.machine_.alpha, "checkpoint alpha mismatch");
   PSS_REQUIRE(read_f64(is) == s.delta_, "checkpoint delta mismatch");
-  const bool incremental = read_bool(is);
-  const bool indexed = read_bool(is);
   const bool windowed = read_bool(is);
   const bool lazy = read_bool(is);
   PSS_REQUIRE(read_bool(is) == s.record_decisions_,
@@ -276,15 +264,18 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
   // scheduler continues the checkpointed session unchanged. Machine, delta
   // and record_decisions above stay strict — those change what the
   // replayed bytes *mean*.
-  s.incremental_ = incremental;
-  s.indexed_ = indexed;
-  s.windowed_ = windowed && indexed;
-  s.lazy_ = lazy && indexed;
-  s.state_.indexed = s.indexed_;
+  s.windowed_ = windowed;
+  s.lazy_ = lazy;
   s.cache_.enable_lazy(s.lazy_);
   s.first_arrival_ = read_bool(is);
+  // A non-finite clock would refuse every later arrival, and a non-finite
+  // or negative retired energy would poison every planned_energy() sum.
   s.last_release_ = read_f64(is);
+  PSS_REQUIRE(std::isfinite(s.last_release_),
+              "corrupt checkpoint: release clock");
   s.retired_energy_ = read_f64(is);
+  PSS_REQUIRE(std::isfinite(s.retired_energy_) && s.retired_energy_ >= 0.0,
+              "corrupt checkpoint: retired energy");
   const std::int64_t splits = read_i64(is);
   const std::int64_t extensions = read_i64(is);
 
@@ -303,24 +294,15 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
   const std::uint64_t ni = read_count(is);
   PSS_REQUIRE(ni == s.state_.num_intervals(),
               "corrupt checkpoint: interval count");
-  if (s.indexed_) {
-    auto h = s.state_.store.front_handle();
-    for (std::uint64_t k = 0; k < ni; ++k, h = s.state_.store.next_handle(h)) {
-      const std::uint64_t nl = read_count(is);
-      for (std::uint64_t j = 0; j < nl; ++j) {
-        const auto job = static_cast<model::JobId>(read_i64(is));
-        const double amount = read_f64(is);
-        s.state_.store.set_load(h, job, amount);
-      }
-    }
-  } else {
-    for (std::uint64_t k = 0; k < ni; ++k) {
-      const std::uint64_t nl = read_count(is);
-      for (std::uint64_t j = 0; j < nl; ++j) {
-        const auto job = static_cast<model::JobId>(read_i64(is));
-        const double amount = read_f64(is);
-        s.state_.assignment.set_load(static_cast<std::size_t>(k), job, amount);
-      }
+  auto h = s.state_.store.front_handle();
+  for (std::uint64_t k = 0; k < ni; ++k, h = s.state_.store.next_handle(h)) {
+    const std::uint64_t nl = read_count(is);
+    for (std::uint64_t j = 0; j < nl; ++j) {
+      const auto job = static_cast<model::JobId>(read_i64(is));
+      const double amount = read_f64(is);
+      PSS_REQUIRE(std::isfinite(amount) && amount >= 0.0,
+                  "corrupt checkpoint: load amount");
+      s.state_.store.set_load(h, job, amount);
     }
   }
   s.state_.interval_splits = splits;

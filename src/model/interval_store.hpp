@@ -1,4 +1,4 @@
-// Stable-handle interval store: the indexed backend for the online time
+// Stable-handle interval store: the online state behind the time
 // partition refinement of Section 3 ("Concerning the Time Partitioning").
 //
 // The contiguous representation (TimePartition + WorkAssignment) pays O(n)

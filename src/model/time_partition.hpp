@@ -15,13 +15,13 @@
 // Handle vs position. This class only knows *positions*: interval k is
 // "the k-th interval in time order", and every insert_boundary shifts the
 // positions (and the backing vector) of all downstream intervals — O(n)
-// per refinement. The indexed backend (model::IntervalStore) additionally
+// per refinement. The online engine's model::IntervalStore additionally
 // gives every interval a stable *handle* that survives splits, appends and
 // prepends, which is what lets caches keyed by interval identity (the
 // insertion-curve cache, most importantly) ignore refinements entirely and
 // drops the refinement cost to O(log n). This contiguous representation is
-// retained as the bitwise-identical reference path
-// (PdOptions{.indexed = false}).
+// what the offline solvers use, and what core::ReferencePd refines online
+// as the bitwise reference.
 #pragma once
 
 #include <cstddef>

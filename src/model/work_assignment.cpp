@@ -20,17 +20,13 @@ void WorkAssignment::set_load(std::size_t k, JobId job, double amount) {
   auto it = std::find_if(loads.begin(), loads.end(),
                          [job](const Load& l) { return l.job == job; });
   if (amount == 0.0) {
-    if (it != loads.end()) {
-      loads.erase(it);
-      ++epochs_[k];
-    }
+    if (it != loads.end()) loads.erase(it);
     return;
   }
   if (it != loads.end())
     it->amount = amount;
   else
     loads.push_back({job, amount});
-  ++epochs_[k];
 }
 
 double WorkAssignment::remove_job(JobId job) {
@@ -42,7 +38,6 @@ double WorkAssignment::remove_job(JobId job) {
     if (it != loads.end()) {
       removed += it->amount;
       loads.erase(it);
-      ++epochs_[k];
     }
   }
   return removed;
@@ -73,9 +68,6 @@ void WorkAssignment::split_interval(std::size_t k, double frac) {
   per_interval_[k] = std::move(left);
   per_interval_.insert(per_interval_.begin() + std::ptrdiff_t(k) + 1,
                        std::move(right));
-  epochs_.insert(epochs_.begin() + std::ptrdiff_t(k) + 1, epochs_[k]);
-  ++epochs_[k];
-  ++epochs_[k + 1];
 }
 
 }  // namespace pss::model

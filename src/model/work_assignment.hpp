@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "model/job.hpp"
@@ -21,7 +20,7 @@ class WorkAssignment {
  public:
   WorkAssignment() = default;
   explicit WorkAssignment(std::size_t num_intervals)
-      : per_interval_(num_intervals), epochs_(num_intervals, 0) {}
+      : per_interval_(num_intervals) {}
 
   [[nodiscard]] std::size_t num_intervals() const {
     return per_interval_.size();
@@ -49,17 +48,11 @@ class WorkAssignment {
   [[nodiscard]] double interval_total(std::size_t k) const;
 
   /// Appends an empty interval at the back.
-  void append_interval() {
-    per_interval_.emplace_back();
-    epochs_.push_back(0);
-  }
+  void append_interval() { per_interval_.emplace_back(); }
 
   /// Inserts an empty interval at the front (online horizon extension to
-  /// the left); all interval indices shift up by one, epochs included.
-  void prepend_interval() {
-    per_interval_.emplace(per_interval_.begin());
-    epochs_.insert(epochs_.begin(), 0);
-  }
+  /// the left); all interval indices shift up by one.
+  void prepend_interval() { per_interval_.emplace(per_interval_.begin()); }
 
   /// Splits interval k into two intervals with length fractions
   /// frac and 1-frac (0 < frac < 1); loads split proportionally. All
@@ -68,16 +61,8 @@ class WorkAssignment {
   /// Section 3.
   void split_interval(std::size_t k, double frac);
 
-  /// Dirty-interval tracking for curve caches: a counter that advances on
-  /// every change to interval k's loads (set_load, remove_job, and both
-  /// halves of a split). Structural shifts (append/prepend/split) move the
-  /// counters with their intervals, so a cache that mirrors the structural
-  /// operations can validate an entry by comparing epochs alone.
-  [[nodiscard]] std::uint64_t epoch(std::size_t k) const { return epochs_[k]; }
-
  private:
   std::vector<std::vector<Load>> per_interval_;
-  std::vector<std::uint64_t> epochs_;
 };
 
 }  // namespace pss::model

@@ -30,6 +30,7 @@
 #include "core/fractional_pd.hpp"
 #include "core/online_state.hpp"
 #include "core/pd_scheduler.hpp"
+#include "core/reference_pd.hpp"
 #include "core/rejection.hpp"
 #include "core/run.hpp"
 

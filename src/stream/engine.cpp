@@ -294,15 +294,17 @@ void StreamEngine::stop() {
 // ------------------------------------------------------ checkpoint/restore
 
 namespace {
-// "PSSCKPT5" as a little-endian u64 — version byte last. (v2 added the
+// "PSSCKPT6" as a little-endian u64 — version byte last. (v2 added the
 // admission/late-reject tallies to the per-shard stats block; v3 added the
 // WAL checkpoint-mark stamp for crash recovery; v4 added an adaptive-backend
 // block that v5 dropped again, together with its config byte and its two
-// counters in the counter table. No reader for older versions.)
-constexpr std::uint64_t kCheckpointMagic = 0x3554504B43535350ull;
-// "PSSSHRD3": a single-shard image (checkpoint_shard / restore_shard),
-// version-bumped in lockstep with the v5 session-blob format.
-constexpr std::uint64_t kShardMagic = 0x3344524853535350ull;
+// counters in the counter table; v6 dropped the incremental/indexed config
+// bytes and the session blob's contiguous layout. No reader for older
+// versions.)
+constexpr std::uint64_t kCheckpointMagic = 0x3654504B43535350ull;
+// "PSSSHRD4": a single-shard image (checkpoint_shard / restore_shard),
+// version-bumped in lockstep with the v6 session-blob format.
+constexpr std::uint64_t kShardMagic = 0x3444524853535350ull;
 }  // namespace
 
 bool StreamEngine::quiesce_producers() {
@@ -329,8 +331,6 @@ void StreamEngine::write_config(std::ostream& os) const {
   io::write_f64(os, options_.machine.alpha);
   io::write_u8(os, options_.scheduler.delta.has_value() ? 1 : 0);
   io::write_f64(os, options_.scheduler.delta.value_or(0.0));
-  io::write_u8(os, options_.scheduler.incremental ? 1 : 0);
-  io::write_u8(os, options_.scheduler.indexed ? 1 : 0);
   io::write_u8(os, options_.scheduler.windowed ? 1 : 0);
   io::write_u8(os, options_.scheduler.lazy ? 1 : 0);
   io::write_u8(os, options_.record_decisions ? 1 : 0);
@@ -347,9 +347,7 @@ void StreamEngine::check_config(std::istream& is) const {
   PSS_REQUIRE(has_delta == options_.scheduler.delta.has_value() &&
                   delta == options_.scheduler.delta.value_or(0.0),
               "checkpoint delta mismatch");
-  PSS_REQUIRE((io::read_u8(is) != 0) == options_.scheduler.incremental &&
-                  (io::read_u8(is) != 0) == options_.scheduler.indexed &&
-                  (io::read_u8(is) != 0) == options_.scheduler.windowed &&
+  PSS_REQUIRE((io::read_u8(is) != 0) == options_.scheduler.windowed &&
                   (io::read_u8(is) != 0) == options_.scheduler.lazy &&
                   (io::read_u8(is) != 0) == options_.record_decisions,
               "checkpoint mode flags mismatch");
@@ -425,10 +423,6 @@ void StreamEngine::checkpoint(std::ostream& os, std::uint64_t wal_mark) {
               "engine already finished");
   PSS_REQUIRE(quiesce_producers(),
               "extra producers still registered after the quiesce timeout");
-  for (auto& shard : shards_)
-    PSS_REQUIRE(!shard->quarantined.load(std::memory_order_acquire),
-                "cannot checkpoint a quarantined shard (checkpoint_shard "
-                "the healthy ones)");
   // After drain() every worker has applied all ops it will ever see until
   // the next enqueue, and a worker facing empty rings never touches its
   // session table — so the tables are quiescent for the reads below. The
@@ -436,6 +430,13 @@ void StreamEngine::checkpoint(std::ostream& os, std::uint64_t wal_mark) {
   // writes before them. (No extra producers exist — just checked — so the
   // owner thread is the only possible enqueuer, and it is here.)
   drain();
+  // Checked after the drain, which returns early for a worker that dies
+  // meanwhile: a dead shard's stranded ops and half-applied batch must
+  // never become a checkpoint (its restore would wait on them forever).
+  for (auto& shard : shards_)
+    PSS_REQUIRE(!shard->quarantined.load(std::memory_order_acquire),
+                "cannot checkpoint a quarantined shard (checkpoint_shard "
+                "the healthy ones)");
   io::write_u64(os, kCheckpointMagic);
   io::write_u64(os, wal_mark);
   write_config(os);
@@ -463,13 +464,14 @@ void StreamEngine::checkpoint_shard(std::size_t shard_index, std::ostream& os,
               "engine already finished");
   PSS_REQUIRE(shard_index < shards_.size(), "shard index out of range");
   Shard& shard = *shards_[shard_index];
-  PSS_REQUIRE(!shard.quarantined.load(std::memory_order_acquire),
-              "cannot checkpoint a quarantined shard");
   PSS_REQUIRE(quiesce_producers(),
               "extra producers still registered after the quiesce timeout");
   PSS_REQUIRE(!paused_.load(std::memory_order_relaxed),
               "draining a paused engine would deadlock");
   drain_shard(shard, std::chrono::steady_clock::now() + kDrainPoll);
+  // After the drain, as in checkpoint(): the worker may die while we wait.
+  PSS_REQUIRE(!shard.quarantined.load(std::memory_order_acquire),
+              "cannot checkpoint a quarantined shard");
   io::write_u64(os, kShardMagic);
   io::write_u64(os, wal_mark);
   io::write_u64(os, shard_index);

@@ -1,8 +1,7 @@
 // Horizon compaction and checkpoint/restore (the flat-memory serving
 // contract):
 //   * compacted vs uncompacted twins commit bitwise-identical decisions
-//     and energies across the full {incremental}x{indexed}x{windowed}x
-//     {lazy} differential cube;
+//     and energies across all four {windowed} x {lazy} configurations;
 //   * a checkpoint written mid-soak (with retired energy, accepted-id
 //     records and pending lazy annotations in flight) restores into a
 //     fresh scheduler that replays the remaining traffic bitwise
@@ -41,18 +40,14 @@ const Machine kMachine{2, 2.5};
 
 PdOptions cube_options(int mask) {
   PdOptions o;
-  o.incremental = (mask & 1) != 0;
-  o.indexed = (mask & 2) != 0;
-  o.windowed = (mask & 4) != 0;
-  o.lazy = (mask & 8) != 0;
+  o.windowed = (mask & 1) != 0;
+  o.lazy = (mask & 2) != 0;
   return o;
 }
 
 std::string cube_name(int mask) {
-  return std::string("incremental=") + ((mask & 1) ? "1" : "0") +
-         " indexed=" + ((mask & 2) ? "1" : "0") +
-         " windowed=" + ((mask & 4) ? "1" : "0") +
-         " lazy=" + ((mask & 8) ? "1" : "0");
+  return std::string("windowed=") + ((mask & 1) ? "1" : "0") +
+         " lazy=" + ((mask & 2) ? "1" : "0");
 }
 
 // Steady-state serving traffic: every tick carries a frontier job on the
@@ -121,23 +116,17 @@ void run_twins(PdScheduler& a, PdScheduler& b, const std::vector<Job>& jobs,
 TEST(Compaction, DifferentialCubeCompactedVsUncompacted) {
   const int ticks = 120;
   const auto jobs = steady_workload(ticks, 2026);
-  for (int mask = 0; mask < 16; ++mask) {
+  for (int mask = 0; mask < 4; ++mask) {
     SCOPED_TRACE(cube_name(mask));
     PdScheduler compacted(kMachine, cube_options(mask));
     PdScheduler plain(kMachine, cube_options(mask));
     run_twins(compacted, plain, jobs, ticks, 16);
     if (::testing::Test::HasFatalFailure()) return;
-    if ((mask & 2) != 0) {
-      // Indexed: compaction actually ran and the live window stayed small.
-      EXPECT_GT(compacted.counters().compactions, 0);
-      EXPECT_GT(compacted.counters().compacted_intervals, 0);
-      EXPECT_LT(compacted.live_intervals(), plain.live_intervals());
-      EXPECT_GT(compacted.retired_energy(), 0.0);
-    } else {
-      // Contiguous backend: compact=true is inert, like windowed/lazy.
-      EXPECT_EQ(compacted.counters().compactions, 0);
-      EXPECT_EQ(compacted.live_intervals(), plain.live_intervals());
-    }
+    // Compaction actually ran and the live window stayed small.
+    EXPECT_GT(compacted.counters().compactions, 0);
+    EXPECT_GT(compacted.counters().compacted_intervals, 0);
+    EXPECT_LT(compacted.live_intervals(), plain.live_intervals());
+    EXPECT_GT(compacted.retired_energy(), 0.0);
   }
 }
 
@@ -280,7 +269,7 @@ TEST(Checkpoint, RoundTripAcrossCubeMidSoak) {
   const int ticks = 96;
   const int cut = 48;  // checkpoint mid-stream, state in full flight
   const auto jobs = steady_workload(ticks, 31);
-  for (int mask = 0; mask < 16; ++mask) {
+  for (int mask = 0; mask < 4; ++mask) {
     SCOPED_TRACE(cube_name(mask));
     PdScheduler live(kMachine, cube_options(mask));
     std::size_t j = 0;
@@ -326,7 +315,7 @@ TEST(Checkpoint, RoundTripAcrossCubeMidSoak) {
 TEST(Checkpoint, CapturesPendingLazyAnnotations) {
   // Pure frontier traffic keeps annotations pending (nothing forces a
   // materialization), so the checkpoint must carry them explicitly.
-  PdOptions o;  // defaults: indexed + lazy on
+  PdOptions o;  // defaults: windowed + lazy on
   PdScheduler live(kMachine, o);
   for (int t = 0; t < 24; ++t) {
     (void)live.on_arrival({t, double(t), double(t) + 1.0, 0.8, util::kInf});
@@ -363,12 +352,14 @@ TEST(Checkpoint, RejectsMismatchedConfigurationAndGarbage) {
   // Mode flags are adopted, not required: a differently configured target
   // takes the blob's mode instead of rejecting it, and continues bitwise
   // identically to the source.
-  PdOptions contiguous;
-  contiguous.indexed = false;
-  PdScheduler other_mode(kMachine, contiguous);
+  PdOptions plain;
+  plain.windowed = false;
+  plain.lazy = false;
+  PdScheduler other_mode(kMachine, plain);
   std::istringstream is2(blob, std::ios::binary);
   io::load_scheduler(is2, other_mode);
-  EXPECT_TRUE(other_mode.indexed());
+  EXPECT_TRUE(other_mode.windowed());
+  EXPECT_TRUE(other_mode.lazy());
   const Job next{1, 1.0, 4.0, 1.0, 5.0};
   const auto d_src = source.on_arrival(next);
   const auto d_restored = other_mode.on_arrival(next);

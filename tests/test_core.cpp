@@ -13,6 +13,7 @@
 
 #include "chen/interval_schedule.hpp"
 #include "convex/brute_force.hpp"
+#include "core/reference_pd.hpp"
 #include "core/rejection.hpp"
 #include "core/run.hpp"
 #include "model/power.hpp"
@@ -152,6 +153,118 @@ TEST(PdScheduler, ArrivalOrderEnforced) {
   pd.on_arrival(Job{0, 5.0, 6.0, 1.0, util::kInf});
   EXPECT_THROW(pd.on_arrival(Job{1, 1.0, 2.0, 1.0, util::kInf}),
                std::invalid_argument);
+}
+
+// ------------------------------------------------------------ ReferencePd
+
+// Listing 1 by hand. m = 1, alpha = 2, so delta = alpha^(1-alpha) = 1/2,
+// P'(s) = 2s and the rejection speed is v / (delta * alpha * w) = v / w.
+// On one processor an interval of length l already carrying load L absorbs
+// z(s) = max(0, s*l - L) of a new job at own-speed s (everything shares
+// the processor at speed (L + x) / l).
+//   Job 0 = [0, 4), w = 2: alone, s* = 2/4 = 1/2 <= v/w, accepted with
+//     lambda = delta * w * P'(s*) = 1/2 * 2 * 1 = 1 and planned energy
+//     w * s*^(alpha-1) = 1; it commits load 1 to each half of [0, 4).
+//   Job 1 = [2, 4), w = 1: the release splits [0, 4) at 2 (one split);
+//     its window [2, 4) carries load 1, so z(s) = 2s - 1 and z(s*) = 1
+//     gives s* = 1, lambda = 1/2 * 1 * 2 = 1.
+//     With v = 3 (rejection speed 3 >= 1) it is accepted: planned energy
+//     1, and the plan costs 2 * (1/2)^2 + 2 * (2/2)^2 = 2.5.
+//     With v = 0.8 (rejection speed 0.8 < 1) it is rejected: lambda = v,
+//     no load, and the plan costs 2 * (1/2)^2 * 2 = 1.
+TEST(ReferencePd, HandComputedListingOne) {
+  const Machine machine{1, 2.0};
+  for (const double v1 : {3.0, 0.8}) {
+    SCOPED_TRACE("v1 = " + std::to_string(v1));
+    core::ReferencePd reference(machine);
+    core::PdScheduler production(machine);
+    const Job job0{0, 0.0, 4.0, 2.0, 10.0};
+    const Job job1{1, 2.0, 4.0, 1.0, v1};
+
+    const auto d0 = reference.on_arrival(job0);
+    EXPECT_TRUE(d0.accepted);
+    EXPECT_DOUBLE_EQ(d0.speed, 0.5);
+    EXPECT_DOUBLE_EQ(d0.lambda, 1.0);
+    EXPECT_DOUBLE_EQ(d0.planned_energy, 1.0);
+    EXPECT_EQ(reference.interval_splits(), 0);
+
+    const auto d1 = reference.on_arrival(job1);
+    EXPECT_EQ(reference.interval_splits(), 1);
+    ASSERT_EQ(reference.partition().boundaries(),
+              (std::vector<double>{0.0, 2.0, 4.0}));
+    EXPECT_DOUBLE_EQ(reference.assignment().load_of(0, 0), 1.0);
+    EXPECT_DOUBLE_EQ(reference.assignment().load_of(1, 0), 1.0);
+    if (v1 > 1.0) {
+      EXPECT_TRUE(d1.accepted);
+      EXPECT_DOUBLE_EQ(d1.speed, 1.0);
+      EXPECT_DOUBLE_EQ(d1.lambda, 1.0);
+      EXPECT_DOUBLE_EQ(d1.planned_energy, 1.0);
+      EXPECT_DOUBLE_EQ(reference.assignment().load_of(1, 1), 1.0);
+      EXPECT_DOUBLE_EQ(reference.planned_energy(), 2.5);
+    } else {
+      EXPECT_FALSE(d1.accepted);
+      EXPECT_DOUBLE_EQ(d1.speed, 0.8);  // the rejection speed it missed
+      EXPECT_DOUBLE_EQ(d1.lambda, 0.8);
+      EXPECT_DOUBLE_EQ(d1.planned_energy, 0.0);
+      EXPECT_DOUBLE_EQ(reference.assignment().total_of(1), 0.0);
+      EXPECT_DOUBLE_EQ(reference.planned_energy(), 1.0);
+      EXPECT_TRUE(reference.final_schedule().is_rejected(1));
+    }
+    ASSERT_EQ(reference.decisions().size(), 2u);
+    EXPECT_EQ(reference.decisions()[1].first, 1);
+
+    // The production engine lands on the same numbers, bitwise.
+    for (const auto& [job, want] : {std::pair{job0, d0}, std::pair{job1, d1}}) {
+      const auto got = production.on_arrival(job);
+      EXPECT_EQ(got.accepted, want.accepted);
+      EXPECT_EQ(got.speed, want.speed);
+      EXPECT_EQ(got.lambda, want.lambda);
+      EXPECT_EQ(got.planned_energy, want.planned_energy);
+    }
+    EXPECT_EQ(production.planned_energy(), reference.planned_energy());
+    EXPECT_EQ(production.counters().interval_splits,
+              reference.interval_splits());
+  }
+}
+
+// Release-order enforcement is the same contract on both engines: a
+// release behind the clock (beyond the relative tolerance) throws
+// std::invalid_argument and leaves the engine usable, a release within the
+// tolerance is admitted (and prepends a boundary), and both keep agreeing
+// afterwards.
+TEST(ReferencePd, RejectsOutOfOrderReleasesLikePdScheduler) {
+  const Machine machine{2, 3.0};
+  core::ReferencePd reference(machine);
+  core::PdScheduler production(machine);
+  const Job first{0, 5.0, 6.0, 1.0, util::kInf};
+  (void)reference.on_arrival(first);
+  (void)production.on_arrival(first);
+
+  const Job stale{1, 1.0, 2.0, 1.0, util::kInf};
+  const auto message = [](auto& engine, const Job& job) {
+    try {
+      (void)engine.on_arrival(job);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const std::string want = "jobs must arrive in nondecreasing release order";
+  EXPECT_NE(message(reference, stale).find(want), std::string::npos);
+  EXPECT_NE(message(production, stale).find(want), std::string::npos);
+  EXPECT_EQ(reference.decisions().size(), 1u);
+  EXPECT_EQ(production.counters().arrivals, 1);
+
+  // Within tolerance: admitted by both, bitwise alike.
+  const Job jitter{2, 5.0 - 1e-15, 5.5, 1.0, 4.0};
+  const auto a = reference.on_arrival(jitter);
+  const auto b = production.on_arrival(jitter);
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.speed, b.speed);
+  EXPECT_EQ(a.lambda, b.lambda);
+  EXPECT_EQ(reference.partition().boundaries(),
+            production.partition().boundaries());
+  EXPECT_EQ(reference.planned_energy(), production.planned_energy());
 }
 
 TEST(PdScheduler, PlannedEnergyMatchesRealizedSchedule) {

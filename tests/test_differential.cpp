@@ -1,12 +1,16 @@
-// Differential harness for the PD engine variants.
+// Differential harness: the production PD engine against the reference.
 //
-// PdOptions selects two independent fast paths: `incremental` (the
-// curve-cache + lazy-sum placement of PR 2) and `indexed` (the
-// stable-handle interval store backend). Every combination must be
-// *decision-identical* to the stateless contiguous reference: same
-// accept/reject bits, and bitwise-equal lambdas, speeds, planned energies,
-// and final-schedule cost, on every instance we can generate. The fast
-// paths mirror the reference arithmetic operation for operation (see
+// core::ReferencePd transcribes Listing 1 over the contiguous
+// TimePartition + WorkAssignment representation with stateless curves and
+// eager commits. The production core::PdScheduler keeps its state in the
+// stable-handle interval store, places through the insertion-curve cache
+// and the lazy-sum water filling, and optionally screens wide windows
+// (`windowed`) and commits virgin uniform accepts as range annotations
+// (`lazy`). Every one of the four {windowed} x {lazy} variants must be
+// *decision-identical* to the reference: same accept/reject bits, and
+// bitwise-equal lambdas, speeds, planned energies, final-schedule cost and
+// split counts, on every instance we can generate. The fast paths mirror
+// the reference arithmetic operation for operation (see
 // util::LazyLinearSum and model::IntervalStore), so the comparisons here
 // are exact EQ, not NEAR — any reordering of floating-point work in a
 // future change will show up as a hard failure, which is the point.
@@ -17,8 +21,7 @@
 // families (bisection deadlines and heavy-tailed lookahead anchors) that
 // stress the Section-3 refinement machinery, an accept-heavy long-horizon
 // family where pruned rejections are rare (the lazy water-level regime),
-// and the fractional scheduler on both backends. The engine cube is the
-// full {incremental} x {indexed} x {windowed} x {lazy} matrix.
+// and the fractional scheduler against core::run_reference_fractional_pd.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,6 +30,7 @@
 
 #include "core/fractional_pd.hpp"
 #include "core/pd_scheduler.hpp"
+#include "core/reference_pd.hpp"
 #include "model/instance.hpp"
 #include "model/schedule.hpp"
 #include "util/random.hpp"
@@ -37,6 +41,7 @@ namespace {
 
 using core::PdOptions;
 using core::PdScheduler;
+using core::ReferencePd;
 using model::Machine;
 
 struct DiffParam {
@@ -46,63 +51,25 @@ struct DiffParam {
 
 class PdDifferential : public ::testing::TestWithParam<DiffParam> {};
 
-// Every fast-path combination of the {incremental} x {indexed} x
-// {windowed} x {lazy} option cube, each compared against the contiguous
-// stateless reference (all four off). `windowed` selects the segment-tree
-// screen and `lazy` the annotation-based water-level commits; both are
-// inert on the contiguous backend, and the contiguous "(inert)" rows prove
-// exactly that. The lazy rows are the bitwise-identity proof for the
-// annotation machinery: identical decisions, lambdas, speeds, energies and
-// final costs against the eager reference on every instance.
+// The production engine's four configurations. `windowed` selects the
+// segment-tree screen and `lazy` the annotation-based water-level commits;
+// the lazy rows are the bitwise-identity proof for the annotation
+// machinery: identical decisions, lambdas, speeds, energies and final
+// costs against the eager reference on every instance.
 const struct EngineVariant {
   const char* name;
   PdOptions options;
 } kVariants[] = {
-    {"contiguous+cached",
-     {.delta = {}, .incremental = true, .indexed = false, .windowed = false,
-      .lazy = false}},
-    {"contiguous+stateless+windowed(inert)",
-     {.delta = {}, .incremental = false, .indexed = false, .windowed = true,
-      .lazy = false}},
-    {"contiguous+cached+windowed(inert)",
-     {.delta = {}, .incremental = true, .indexed = false, .windowed = true,
-      .lazy = false}},
-    {"contiguous+stateless+lazy(inert)",
-     {.delta = {}, .incremental = false, .indexed = false, .windowed = false,
-      .lazy = true}},
-    {"indexed+stateless",
-     {.delta = {}, .incremental = false, .indexed = true, .windowed = false,
-      .lazy = false}},
-    {"indexed+cached",
-     {.delta = {}, .incremental = true, .indexed = true, .windowed = false,
-      .lazy = false}},
-    {"indexed+stateless+windowed",
-     {.delta = {}, .incremental = false, .indexed = true, .windowed = true,
-      .lazy = false}},
-    {"indexed+cached+windowed",
-     {.delta = {}, .incremental = true, .indexed = true, .windowed = true,
-      .lazy = false}},
-    {"indexed+stateless+lazy",
-     {.delta = {}, .incremental = false, .indexed = true, .windowed = false,
-      .lazy = true}},
-    {"indexed+cached+lazy",
-     {.delta = {}, .incremental = true, .indexed = true, .windowed = false,
-      .lazy = true}},
-    {"indexed+stateless+windowed+lazy",
-     {.delta = {}, .incremental = false, .indexed = true, .windowed = true,
-      .lazy = true}},
-    {"indexed+cached+windowed+lazy",
-     {.delta = {}, .incremental = true, .indexed = true, .windowed = true,
-      .lazy = true}},
+    {"plain", {.delta = {}, .windowed = false, .lazy = false}},
+    {"windowed", {.delta = {}, .windowed = true, .lazy = false}},
+    {"lazy", {.delta = {}, .windowed = false, .lazy = true}},
+    {"windowed+lazy", {.delta = {}, .windowed = true, .lazy = true}},
 };
 
 // Feeds the reference and all variants in lockstep and asserts
 // bitwise-identical decisions.
 void expect_engines_identical(const model::Instance& instance) {
-  PdScheduler reference(
-      instance.machine(),
-      {.delta = {}, .incremental = false, .indexed = false, .windowed = false,
-       .lazy = false});
+  ReferencePd reference(instance.machine());
   std::vector<PdScheduler> variants;
   for (const EngineVariant& v : kVariants)
     variants.emplace_back(instance.machine(), v.options);
@@ -127,44 +94,36 @@ void expect_engines_identical(const model::Instance& instance) {
     ASSERT_EQ(cost_ref.total(), variants[i].final_schedule().cost(instance)
                                     .total())
         << kVariants[i].name;
-    ASSERT_EQ(reference.counters().interval_splits,
+    ASSERT_EQ(reference.interval_splits(),
               variants[i].counters().interval_splits)
         << kVariants[i].name;
-    // The cached variants must actually have gone through the cache.
-    if (kVariants[i].options.incremental) {
-      EXPECT_GT(variants[i].counters().curve_cache_hits +
-                    variants[i].counters().curve_cache_rebuilds,
-                0)
-          << kVariants[i].name;
-    }
+    // Every variant must actually have gone through the curve cache.
+    EXPECT_GT(variants[i].counters().curve_cache_hits +
+                  variants[i].counters().curve_cache_rebuilds,
+              0)
+        << kVariants[i].name;
   }
-  EXPECT_EQ(reference.counters().curve_cache_hits, 0);
 }
 
-// The fractional scheduler across {indexed} x {windowed} x {lazy}, bitwise.
+// The fractional scheduler across {windowed} x {lazy} against the
+// fractional reference, bitwise.
 void expect_fractional_identical(const model::Instance& instance) {
-  const auto contiguous = core::run_fractional_pd(
-      instance,
-      {.delta = {}, .indexed = false, .windowed = false, .lazy = false});
+  const auto reference = core::run_reference_fractional_pd(instance);
   const core::FractionalPdOptions variants[] = {
-      // windowed / lazy are inert on the contiguous backend
-      {.delta = {}, .indexed = false, .windowed = true, .lazy = false},
-      {.delta = {}, .indexed = false, .windowed = false, .lazy = true},
-      {.delta = {}, .indexed = true, .windowed = false, .lazy = false},
-      {.delta = {}, .indexed = true, .windowed = true, .lazy = false},
-      {.delta = {}, .indexed = true, .windowed = false, .lazy = true},
-      {.delta = {}, .indexed = true, .windowed = true, .lazy = true},
+      {.delta = {}, .windowed = false, .lazy = false},
+      {.delta = {}, .windowed = true, .lazy = false},
+      {.delta = {}, .windowed = false, .lazy = true},
+      {.delta = {}, .windowed = true, .lazy = true},
   };
   for (const auto& options : variants) {
     const auto other = core::run_fractional_pd(instance, options);
-    ASSERT_EQ(contiguous.fraction, other.fraction)
-        << "indexed=" << options.indexed << " windowed=" << options.windowed
-        << " lazy=" << options.lazy;
-    ASSERT_EQ(contiguous.lambda, other.lambda);
-    ASSERT_EQ(contiguous.energy, other.energy);
-    ASSERT_EQ(contiguous.lost_value, other.lost_value);
-    ASSERT_EQ(contiguous.dual_lower_bound, other.dual_lower_bound);
-    ASSERT_EQ(contiguous.partition.boundaries(),
+    ASSERT_EQ(reference.fraction, other.fraction)
+        << "windowed=" << options.windowed << " lazy=" << options.lazy;
+    ASSERT_EQ(reference.lambda, other.lambda);
+    ASSERT_EQ(reference.energy, other.energy);
+    ASSERT_EQ(reference.lost_value, other.lost_value);
+    ASSERT_EQ(reference.dual_lower_bound, other.dual_lower_bound);
+    ASSERT_EQ(reference.partition.boundaries(),
               other.partition.boundaries());
   }
 }

@@ -1,12 +1,13 @@
-// Property coverage for the incremental engine's cache-invalidation
-// triggers — the paths tests/test_fuzz.cpp does not reach:
+// Property coverage for the production engine's cache-invalidation
+// triggers, each held bitwise to core::ReferencePd — the paths
+// tests/test_fuzz.cpp does not reach:
 //   * interior interval splits mid-stream (a later arrival's boundary lands
 //     inside an interval that already carries committed load),
 //   * horizon extension to the right (t > hi appends intervals),
 //   * the prepend path (t < lo in ensure_boundary, reachable through the
 //     1e-12 release-order tolerance and by driving OnlineState directly).
-// Plus direct unit tests of CurveCache epoch validation and structural
-// mirroring, and of LazyLinearSum against the materialized sum.
+// Plus direct unit tests of CurveCache epoch/handle validation, and of
+// LazyLinearSum against the materialized sum.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,7 +18,9 @@
 #include "core/curve_cache.hpp"
 #include "core/online_state.hpp"
 #include "core/pd_scheduler.hpp"
+#include "core/reference_pd.hpp"
 #include "model/instance.hpp"
+#include "model/interval_store.hpp"
 #include "model/time_partition.hpp"
 #include "util/math.hpp"
 #include "util/piecewise_linear.hpp"
@@ -29,6 +32,8 @@ namespace {
 using core::CurveCache;
 using core::OnlineState;
 using core::PdScheduler;
+using core::ReferencePd;
+using model::IntervalStore;
 using model::Job;
 using model::Machine;
 
@@ -46,8 +51,8 @@ Job make_job(model::JobId id, double release, double deadline, double work,
 void expect_lockstep_identical(const std::vector<Job>& jobs, Machine machine,
                                long long* splits = nullptr,
                                long long* extensions = nullptr) {
-  PdScheduler reference(machine, {.delta = {}, .incremental = false});
-  PdScheduler cached(machine, {.delta = {}, .incremental = true});
+  ReferencePd reference(machine);
+  PdScheduler cached(machine);
   for (const Job& job : jobs) {
     const auto a = reference.on_arrival(job);
     const auto b = cached.on_arrival(job);
@@ -129,8 +134,8 @@ TEST(CacheInvalidation, PrependThroughReleaseTolerance) {
       make_job(0, r0, 2.0, 1.0, util::kInf),
       make_job(1, r1, 1.5, 0.7, 5.0),
   };
-  PdScheduler reference(Machine{2, 2.0}, {.delta = {}, .incremental = false});
-  PdScheduler cached(Machine{2, 2.0}, {.delta = {}, .incremental = true});
+  ReferencePd reference(Machine{2, 2.0});
+  PdScheduler cached(Machine{2, 2.0});
   for (const Job& job : jobs) {
     const auto a = reference.on_arrival(job);
     const auto b = cached.on_arrival(job);
@@ -145,32 +150,30 @@ TEST(CacheInvalidation, PrependThroughReleaseTolerance) {
   EXPECT_NEAR(cached.assignment().total_of(0), 1.0, 1e-9);
 }
 
-// Driving OnlineState directly: prepend must shift loads, epochs, and the
-// mirrored cache entries together, leaving previously built curves valid.
+// Driving OnlineState directly: a prepend must shift positions (and the
+// loads with them) while every previously built handle-keyed curve stays
+// valid.
 TEST(CacheInvalidation, OnlineStatePrependKeepsCacheAligned) {
   OnlineState state;
   CurveCache cache;
   state.ensure_boundary(1.0, &cache);
   state.ensure_boundary(2.0, &cache);
   state.ensure_boundary(3.0, &cache);
-  ASSERT_EQ(state.assignment.num_intervals(), 2u);
-  ASSERT_EQ(cache.size(), 2u);
-  state.assignment.set_load(0, 7, 1.5);
-  state.assignment.set_load(1, 8, 0.5);
+  ASSERT_EQ(state.num_intervals(), 2u);
+  state.store.set_load(state.store.handle_at(0), 7, 1.5);
+  state.store.set_load(state.store.handle_at(1), 8, 0.5);
 
-  const auto before =
-      cache.curves_for(state.assignment, state.partition, 2, {0, 2});
+  const auto before = cache.curves_for(state.store, 2, {0, 2});
   const std::vector<util::PiecewiseLinear::Knot> knots0 = before[0]->knots();
   ASSERT_EQ(cache.stats().rebuilds, 2);
 
   state.ensure_boundary(0.5, &cache);  // t < lo: prepend
-  ASSERT_EQ(state.assignment.num_intervals(), 3u);
-  ASSERT_EQ(cache.size(), 3u);
+  ASSERT_EQ(state.num_intervals(), 3u);
   EXPECT_EQ(state.horizon_extensions, 2);  // the append at t=3, this prepend
-  EXPECT_EQ(state.assignment.load_of(1, 7), 1.5);  // shifted with its interval
+  // Shifted with its interval.
+  EXPECT_EQ(state.store.load_of(state.store.handle_at(1), 7), 1.5);
 
-  const auto after =
-      cache.curves_for(state.assignment, state.partition, 2, {0, 3});
+  const auto after = cache.curves_for(state.store, 2, {0, 3});
   // Only the new leading interval needed a build; the shifted entries hit.
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 2);
@@ -183,31 +186,35 @@ TEST(CacheInvalidation, OnlineStatePrependKeepsCacheAligned) {
 
 // ------------------------------------------------------- CurveCache mechanics
 
+IntervalStore make_store(const std::vector<double>& boundaries) {
+  IntervalStore store;
+  for (const double t : boundaries) (void)store.ensure_boundary(t);
+  return store;
+}
+
 TEST(CurveCache, EpochInvalidationOnSetLoad) {
-  model::WorkAssignment assignment(3);
-  const auto partition =
-      model::TimePartition::from_boundaries({0.0, 1.0, 2.5, 3.0});
-  assignment.set_load(0, 1, 2.0);
-  assignment.set_load(1, 2, 1.0);
+  IntervalStore store = make_store({0.0, 1.0, 2.5, 3.0});
+  store.set_load(store.handle_at(0), 1, 2.0);
+  store.set_load(store.handle_at(1), 2, 1.0);
 
   CurveCache cache;
-  cache.reset(3);
-  (void)cache.curves_for(assignment, partition, 2, {0, 3});
+  (void)cache.curves_for(store, 2, {0, 3});
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 0);
 
-  (void)cache.curves_for(assignment, partition, 2, {0, 3});
+  (void)cache.curves_for(store, 2, {0, 3});
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 3);
 
-  assignment.set_load(1, 3, 0.25);  // dirties interval 1 only
-  const auto curves = cache.curves_for(assignment, partition, 2, {0, 3});
+  store.set_load(store.handle_at(1), 3, 0.25);  // dirties interval 1 only
+  const auto curves = cache.curves_for(store, 2, {0, 3});
   EXPECT_EQ(cache.stats().rebuilds, 4);
   EXPECT_EQ(cache.stats().hits, 5);
 
   // The rebuilt curve matches a from-scratch build exactly.
-  const auto fresh = chen::insertion_curve(assignment.loads(1), -1, 2,
-                                           partition.length(1));
+  const IntervalStore::Handle h1 = store.handle_at(1);
+  const auto fresh =
+      chen::insertion_curve(store.loads(h1), -1, 2, store.length_of(h1));
   ASSERT_EQ(curves[1]->knots().size(), fresh.knots().size());
   for (std::size_t i = 0; i < fresh.knots().size(); ++i) {
     EXPECT_EQ(curves[1]->knots()[i].x, fresh.knots()[i].x);
@@ -216,42 +223,36 @@ TEST(CurveCache, EpochInvalidationOnSetLoad) {
 }
 
 TEST(CurveCache, SplitInvalidatesBothHalves) {
-  model::WorkAssignment assignment(2);
-  auto partition = model::TimePartition::from_boundaries({0.0, 2.0, 4.0});
-  assignment.set_load(0, 1, 3.0);
-  assignment.set_load(1, 2, 1.0);
+  IntervalStore store = make_store({0.0, 2.0, 4.0});
+  store.set_load(store.handle_at(0), 1, 3.0);
+  store.set_load(store.handle_at(1), 2, 1.0);
 
   CurveCache cache;
-  cache.reset(2);
-  (void)cache.curves_for(assignment, partition, 1, {0, 2});
+  (void)cache.curves_for(store, 1, {0, 2});
   ASSERT_EQ(cache.stats().rebuilds, 2);
 
-  // Split interval 0 at 0.5 of its length; both halves must rebuild, the
+  // Split interval 0 at half its length; both halves must rebuild, the
   // shifted old interval 1 must not.
-  partition.insert_boundary(1.0);
-  assignment.split_interval(0, 0.5);
-  cache.on_split(0);
-  (void)cache.curves_for(assignment, partition, 1, {0, 3});
+  ASSERT_EQ(store.ensure_boundary(1.0), IntervalStore::Refinement::kSplit);
+  (void)cache.curves_for(store, 1, {0, 3});
   EXPECT_EQ(cache.stats().rebuilds, 4);
   EXPECT_EQ(cache.stats().hits, 1);
 }
 
 TEST(CurveCache, IgnoreJobLoadBypassesCache) {
-  model::WorkAssignment assignment(1);
-  const auto partition = model::TimePartition::from_boundaries({0.0, 2.0});
-  assignment.set_load(0, 5, 1.0);
-  assignment.set_load(0, 6, 4.0);
+  IntervalStore store = make_store({0.0, 2.0});
+  store.set_load(store.handle_at(0), 5, 1.0);
+  store.set_load(store.handle_at(0), 6, 4.0);
 
   CurveCache cache;
-  cache.reset(1);
   // Excluding job 5 must produce the other-loads curve, not the all-loads
   // curve, and must not poison the cache for later all-loads queries.
-  const auto excluding = cache.curves_for(assignment, partition, 2, {0, 1}, 5);
+  const auto excluding = cache.curves_for(store, 2, {0, 1}, 5);
   const auto expected = chen::insertion_curve({4.0}, 2, 2.0);
   EXPECT_EQ(excluding[0]->eval(1.0), expected.eval(1.0));
   EXPECT_EQ(cache.stats().hits, 0);
 
-  const auto all = cache.curves_for(assignment, partition, 2, {0, 1});
+  const auto all = cache.curves_for(store, 2, {0, 1});
   const auto expected_all = chen::insertion_curve({1.0, 4.0}, 2, 2.0);
   EXPECT_EQ(all[0]->eval(1.0), expected_all.eval(1.0));
 }
@@ -312,9 +313,13 @@ TEST(LazyLinearSum, MatchesReferenceWaterFill) {
     const auto reference = convex::water_fill(assignment, partition, m,
                                               window, work, cap, 7);
 
+    // The same loads, in the same per-interval order, on the store.
+    IntervalStore store = make_store(bounds);
+    for (std::size_t k = 0; k < num_intervals; ++k)
+      for (const model::Load& load : assignment.loads(k))
+        store.set_load(store.handle_at(k), load.job, load.amount);
     CurveCache cache;
-    cache.reset(num_intervals);
-    const auto curves = cache.curves_for(assignment, partition, m, window, 7);
+    const auto curves = cache.curves_for(store, m, window, 7);
     const auto fast = convex::water_fill_over_curves(curves, work, cap);
 
     ASSERT_EQ(reference.has_value(), fast.has_value()) << "trial " << trial;

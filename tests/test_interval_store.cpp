@@ -5,12 +5,12 @@
 //     find / last_leq / select / rank / next / prev);
 //   * model::IntervalStore semantics: bootstrap below two boundaries,
 //     split / append / prepend refinements, stable handles, epochs, and
-//     snapshot materialization — cross-checked against the contiguous
-//     TimePartition + WorkAssignment pair driven through the same
-//     core::OnlineState entry point (including a prepend-heavy stream the
-//     arrival-ordered schedulers can never produce);
+//     snapshot materialization — core::OnlineState cross-checked against
+//     the contiguous TimePartition + WorkAssignment pair refined by the
+//     reference core::refine_partition (including a prepend-heavy stream
+//     the arrival-ordered schedulers can never produce);
 //   * torture at 100k+ intervals with duplicate / already-boundary inserts
-//     for both the indexed and the contiguous reference backend.
+//     for both the store and the contiguous reference representation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 
 #include "core/online_state.hpp"
 #include "core/pd_scheduler.hpp"
+#include "core/reference_pd.hpp"
 #include "model/interval_store.hpp"
 #include "util/order_index.hpp"
 #include "util/random.hpp"
@@ -27,6 +28,7 @@ namespace pss {
 namespace {
 
 using core::OnlineState;
+using core::refine_partition;
 using model::IntervalStore;
 using util::OrderIndex;
 
@@ -313,25 +315,47 @@ TEST(IntervalStore, SnapshotBelowTwoBoundaries) {
   EXPECT_EQ(partition.boundaries(), std::vector<double>{7.0});
 }
 
-// ----------------------------------------- OnlineState backend equivalence
+// ----------------------------------------- OnlineState vs the reference
 
-// Replays the same ensure_boundary / load stream through both backends and
-// compares the full state bitwise.
+// The contiguous reference representation with the same split/extension
+// counters OnlineState keeps.
+struct ContiguousState {
+  model::TimePartition partition;
+  model::WorkAssignment assignment;
+  long long interval_splits = 0;
+  long long horizon_extensions = 0;
+
+  void ensure_boundary(double t) {
+    switch (refine_partition(partition, assignment, t)) {
+      case IntervalStore::Refinement::kSplit:
+        ++interval_splits;
+        break;
+      case IntervalStore::Refinement::kAppend:
+      case IntervalStore::Refinement::kPrepend:
+        ++horizon_extensions;
+        break;
+      default:
+        break;
+    }
+  }
+};
+
+// Replays the same ensure_boundary / load stream through both
+// representations and compares the full state bitwise.
 void expect_backends_identical(const std::vector<double>& boundaries,
                                std::uint64_t load_seed) {
-  OnlineState contiguous;
+  ContiguousState contiguous;
   OnlineState indexed;
-  indexed.indexed = true;
   util::Rng rng(load_seed);
   model::JobId next_job = 0;
   for (const double t : boundaries) {
     contiguous.ensure_boundary(t);
     indexed.ensure_boundary(t);
-    ASSERT_EQ(contiguous.num_intervals(), indexed.num_intervals());
+    const std::size_t n = contiguous.partition.num_intervals();
+    ASSERT_EQ(n, indexed.num_intervals());
     // Occasionally commit load to a random interval, same on both.
-    if (contiguous.num_intervals() > 0 && rng.uniform(0.0, 1.0) < 0.5) {
-      const std::size_t k =
-          std::size_t(rng.uniform_int(0, int(contiguous.num_intervals()) - 1));
+    if (n > 0 && rng.uniform(0.0, 1.0) < 0.5) {
+      const std::size_t k = std::size_t(rng.uniform_int(0, int(n) - 1));
       const double amount = rng.uniform(0.1, 3.0);
       contiguous.assignment.set_load(k, next_job, amount);
       indexed.store.set_load(indexed.store.handle_at(k), next_job, amount);
@@ -397,7 +421,6 @@ TEST(OnlineStateBackends, SplitHeavyBisectionStreamMatches) {
 TEST(IntervalStoreTorture, BisectionTo100kIntervalsWithDuplicates) {
   constexpr std::uint32_t kN = 1u << 17;  // 131072 intervals
   OnlineState state;
-  state.indexed = true;
   state.ensure_boundary(0.0);
   state.ensure_boundary(double(kN));
   // Plant a load so every split divides a nonempty interval.
@@ -428,7 +451,7 @@ TEST(IntervalStoreTorture, BisectionTo100kIntervalsWithDuplicates) {
 // cheap direction — middle inserts would be quadratic) with duplicates.
 TEST(IntervalStoreTorture, ContiguousAscendingTo100kWithDuplicates) {
   constexpr int kN = 120000;
-  OnlineState state;  // indexed = false: TimePartition + WorkAssignment
+  ContiguousState state;
   for (int pass = 0; pass < 2; ++pass)
     for (int t = 0; t <= kN; ++t) state.ensure_boundary(double(t));
   ASSERT_EQ(state.partition.num_intervals(), std::size_t(kN));
@@ -437,34 +460,34 @@ TEST(IntervalStoreTorture, ContiguousAscendingTo100kWithDuplicates) {
   EXPECT_EQ(state.horizon_extensions, (long long)kN - 1);
 }
 
-// Both backends through the bootstrap corner (<2 boundaries) of
-// OnlineState::ensure_boundary, which PdScheduler hits on its very first
-// arrival and after every reset().
+// Both representations through the bootstrap corner (<2 boundaries) of
+// the refinement, which PdScheduler hits on its very first arrival and
+// after every reset().
 TEST(OnlineStateBackends, EnsureBoundaryBootstrap) {
-  for (const bool indexed : {false, true}) {
-    SCOPED_TRACE(indexed ? "indexed" : "contiguous");
-    OnlineState state;
-    state.indexed = indexed;
-    state.ensure_boundary(5.0);
-    EXPECT_EQ(state.num_intervals(), 0u);
-    state.ensure_boundary(5.0);  // duplicate of the lone boundary
-    EXPECT_EQ(state.num_intervals(), 0u);
-    state.ensure_boundary(9.0);  // second boundary: first interval
-    EXPECT_EQ(state.num_intervals(), 1u);
-    EXPECT_EQ(state.interval_splits, 0);
-    EXPECT_EQ(state.horizon_extensions, 0);
-    state.ensure_boundary(7.0);  // now a genuine split
-    EXPECT_EQ(state.num_intervals(), 2u);
-    EXPECT_EQ(state.interval_splits, 1);
-  }
+  OnlineState indexed;
+  ContiguousState contiguous;
+  const auto step = [&](double t, std::size_t intervals, long long splits) {
+    indexed.ensure_boundary(t);
+    contiguous.ensure_boundary(t);
+    EXPECT_EQ(indexed.num_intervals(), intervals);
+    EXPECT_EQ(contiguous.partition.num_intervals(), intervals);
+    EXPECT_EQ(contiguous.assignment.num_intervals(), intervals);
+    EXPECT_EQ(indexed.interval_splits, splits);
+    EXPECT_EQ(contiguous.interval_splits, splits);
+    EXPECT_EQ(indexed.horizon_extensions, 0);
+    EXPECT_EQ(contiguous.horizon_extensions, 0);
+  };
+  step(5.0, 0, 0);
+  step(5.0, 0, 0);  // duplicate of the lone boundary
+  step(9.0, 1, 0);  // second boundary: first interval
+  step(7.0, 2, 1);  // now a genuine split
 }
 
 // ------------------------------------------------- PdScheduler integration
 
 TEST(PdSchedulerIndexed, AccessorsSnapshotTheStore) {
-  core::PdScheduler indexed({2, 2.0}, {.delta = {}, .indexed = true});
-  core::PdScheduler contiguous({2, 2.0},
-                               {.delta = {}, .indexed = false});
+  core::PdScheduler indexed({2, 2.0});
+  core::ReferencePd contiguous({2, 2.0});
   const std::vector<model::Job> jobs = {
       {0, 0.0, 4.0, 2.0, 10.0},
       {1, 1.0, 3.0, 1.0, 8.0},
@@ -474,8 +497,6 @@ TEST(PdSchedulerIndexed, AccessorsSnapshotTheStore) {
     indexed.on_arrival(job);
     contiguous.on_arrival(job);
   }
-  EXPECT_TRUE(indexed.indexed());
-  EXPECT_FALSE(contiguous.indexed());
   EXPECT_EQ(indexed.partition().boundaries(),
             contiguous.partition().boundaries());
   const auto& a = indexed.assignment();
@@ -488,14 +509,15 @@ TEST(PdSchedulerIndexed, AccessorsSnapshotTheStore) {
 }
 
 TEST(PdSchedulerIndexed, ResetKeepsTheIndexedBackend) {
-  core::PdScheduler pd({2, 2.0}, {.delta = {}, .indexed = true});
+  core::PdScheduler pd({2, 2.0});
   pd.on_arrival({0, 0.0, 2.0, 1.0, 5.0});
   pd.reset();
-  EXPECT_TRUE(pd.indexed());
   EXPECT_EQ(pd.partition().num_intervals(), 0u);
+  EXPECT_EQ(pd.handle_space(), 0u);
   const auto decision = pd.on_arrival({1, 1.0, 3.0, 1.0, 5.0});
   EXPECT_TRUE(decision.accepted);
   EXPECT_EQ(pd.counters().arrivals, 1);
+  EXPECT_GT(pd.handle_space(), 0u);
 }
 
 }  // namespace

@@ -1,11 +1,18 @@
 // Tests for src/io: instance round-trips, parse-error reporting, schedule
-// CSV export, and the ASCII Gantt renderer.
+// CSV export, the ASCII Gantt renderer, and scheduler-restore validation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 
+#include "core/pd_scheduler.hpp"
 #include "io/instance_io.hpp"
 #include "io/schedule_io.hpp"
+#include "io/state_io.hpp"
 #include "util/math.hpp"
 #include "workload/generators.hpp"
 
@@ -137,6 +144,76 @@ TEST(Gantt, RejectsDegenerateArguments) {
   EXPECT_THROW(io::render_gantt(buffer, s, 1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(io::render_gantt(buffer, s, 0.0, 1.0, {.width = 2}),
                std::invalid_argument);
+}
+
+// ------------------------------------------------- scheduler restore audit
+
+// Byte offset of the single f64 field holding `v` in a scheduler blob.
+// Locating fields by value keeps the patching independent of the layout.
+std::size_t unique_f64_offset(const std::string& blob, double v) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+  std::size_t found = std::string::npos;
+  for (std::size_t i = 0; i + 8 <= blob.size(); ++i) {
+    std::uint64_t word = 0;
+    for (int b = 0; b < 8; ++b)
+      word |= std::uint64_t(static_cast<unsigned char>(blob[i + b])) << (8 * b);
+    if (word != bits) continue;
+    EXPECT_EQ(found, std::string::npos) << "value " << v << " is not unique";
+    found = i;
+  }
+  EXPECT_NE(found, std::string::npos) << "value " << v << " not in blob";
+  return found;
+}
+
+// A valid blob patched in one field at a time must be refused, not
+// restored into a session that later throws on every arrival (NaN clock)
+// or reports a non-finite or negative planned energy.
+TEST(SchedulerRestore, RejectsPatchedFieldsNoLiveSessionCanHold) {
+  const Machine machine{2, 2.0};
+  const core::PdOptions options{.delta = {}, .windowed = false, .lazy = false};
+  core::PdScheduler source(machine, options);
+  (void)source.on_arrival({0, 0.0, 4.0, 1.0, util::kInf});
+  (void)source.on_arrival({1, 1.0, 9.0, 3.0, util::kInf});
+  source.advance_to(4.5, /*compact=*/true);  // retires [0, 1) and [1, 4)
+  ASSERT_GT(source.retired_energy(), 0.0);
+  ASSERT_EQ(source.live_intervals(), 1u);
+  const double load = source.assignment().loads(0).at(0).amount;
+
+  std::ostringstream os(std::ios::binary);
+  io::save_scheduler(os, source);
+  const std::string blob = os.str();
+  {
+    core::PdScheduler intact(machine, options);
+    std::istringstream is(blob, std::ios::binary);
+    io::load_scheduler(is, intact);
+    EXPECT_EQ(intact.planned_energy(), source.planned_energy());
+  }
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* field;
+    double valid;
+    double patched;
+  } cases[] = {
+      {"last_release NaN", 4.5, nan},
+      {"retired_energy +Inf", source.retired_energy(), util::kInf},
+      {"retired_energy -5", source.retired_energy(), -5.0},
+      {"load amount +Inf", load, util::kInf},
+      {"load amount NaN", load, nan},
+      {"load amount negative", load, -load},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.field);
+    const std::size_t at = unique_f64_offset(blob, c.valid);
+    ASSERT_NE(at, std::string::npos);
+    std::string patched = blob;
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(c.patched);
+    for (int b = 0; b < 8; ++b)
+      patched[at + b] = static_cast<char>((bits >> (8 * b)) & 0xff);
+    core::PdScheduler target(machine, options);
+    std::istringstream is(patched, std::ios::binary);
+    EXPECT_THROW(io::load_scheduler(is, target), std::invalid_argument);
+  }
 }
 
 }  // namespace

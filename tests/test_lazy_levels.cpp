@@ -175,11 +175,8 @@ void run_torture(std::uint64_t seed, double alpha, int m, int steps,
                  int compare_every) {
   const Machine machine{m, alpha};
   PdScheduler lazy(machine, {});  // defaults: all fast paths on
-  PdScheduler eager(machine, {.delta = {},
-                              .incremental = true,
-                              .indexed = true,
-                              .windowed = true,
-                              .lazy = false});
+  PdScheduler eager(machine,
+                    {.delta = {}, .windowed = true, .lazy = false});
   util::Rng rng(seed);
   double clock = 0.0;
   int id = 0;

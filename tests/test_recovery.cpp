@@ -470,23 +470,19 @@ TEST(ShardCheckpoint, RestoreRejectsTheWrongShardIndex) {
 // --------------------------------------------- WAL recovery: option cube
 
 // A kill between two appends (clean WAL tail) at 60% of the workload, for
-// every {incremental} x {indexed} x {windowed} x {lazy} x {spill} corner:
+// every {windowed} x {lazy} x {spill} corner:
 // the recovered engine must finish bitwise identical to a twin that never
 // died. This is the recovery analogue of the differential cube.
 TEST(WalRecovery, BitwiseAcrossTheOptionCube) {
   const std::vector<ingest::IngestOp> ops = drill_ops(4, 8);
-  for (int mask = 0; mask < 32; ++mask) {
-    const bool spill_on = (mask & 16) != 0;
-    SCOPED_TRACE("incremental=" + std::to_string(mask & 1) +
-                 " indexed=" + std::to_string((mask >> 1) & 1) +
-                 " windowed=" + std::to_string((mask >> 2) & 1) +
-                 " lazy=" + std::to_string((mask >> 3) & 1) +
+  for (int mask = 0; mask < 8; ++mask) {
+    const bool spill_on = (mask & 4) != 0;
+    SCOPED_TRACE("windowed=" + std::to_string(mask & 1) +
+                 " lazy=" + std::to_string((mask >> 1) & 1) +
                  " spill=" + std::to_string(spill_on));
     stream::EngineOptions options = engine_options(2);
-    options.scheduler.incremental = (mask & 1) != 0;
-    options.scheduler.indexed = (mask & 2) != 0;
-    options.scheduler.windowed = (mask & 4) != 0;
-    options.scheduler.lazy = (mask & 8) != 0;
+    options.scheduler.windowed = (mask & 1) != 0;
+    options.scheduler.lazy = (mask & 2) != 0;
     const std::string spill_dir = fresh_dir("cube_spill");
     if (spill_on) {
       options.spill.max_resident = 2;

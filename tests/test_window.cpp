@@ -195,12 +195,8 @@ TEST(CurveSegmentTree, LoadChangeVisibleAfterInterleavedRefinement) {
 
 void expect_windowed_identical(const std::vector<Job>& jobs, Machine machine,
                                long long* prunes = nullptr) {
-  PdScheduler linear(machine,
-                     {.delta = {}, .incremental = true, .indexed = true,
-                      .windowed = false});
-  PdScheduler windowed(machine,
-                       {.delta = {}, .incremental = true, .indexed = true,
-                        .windowed = true});
+  PdScheduler linear(machine, {.delta = {}, .windowed = false});
+  PdScheduler windowed(machine, {.delta = {}, .windowed = true});
   for (const Job& job : jobs) {
     const auto a = linear.on_arrival(job);
     const auto b = windowed.on_arrival(job);
@@ -361,9 +357,9 @@ TEST(WindowedFractional, BitwiseIdenticalWithPrunes) {
     }
     const auto instance = model::make_instance(machine, std::move(jobs));
     const auto linear = core::run_fractional_pd(
-        instance, {.delta = {}, .indexed = true, .windowed = false});
+        instance, {.delta = {}, .windowed = false});
     const auto windowed = core::run_fractional_pd(
-        instance, {.delta = {}, .indexed = true, .windowed = true});
+        instance, {.delta = {}, .windowed = true});
     ASSERT_EQ(linear.fraction, windowed.fraction) << "trial " << trial;
     ASSERT_EQ(linear.lambda, windowed.lambda) << "trial " << trial;
     ASSERT_EQ(linear.energy, windowed.energy) << "trial " << trial;
@@ -391,9 +387,9 @@ TEST(WindowedFractional, UnderflowedRejectionSpeedSkipsScreen) {
                                   core::optimal_delta(machine.alpha)),
             0.0);
   const auto linear = core::run_fractional_pd(
-      instance, {.delta = {}, .indexed = true, .windowed = false});
+      instance, {.delta = {}, .windowed = false});
   const auto windowed = core::run_fractional_pd(
-      instance, {.delta = {}, .indexed = true, .windowed = true});
+      instance, {.delta = {}, .windowed = true});
   ASSERT_EQ(linear.fraction, windowed.fraction);
   ASSERT_EQ(linear.lambda, windowed.lambda);
   EXPECT_EQ(windowed.fraction[1], 0.0);
