@@ -219,10 +219,7 @@ PdRun run_pd_stream(const std::vector<pss::model::Job>& jobs, bool reference,
       ReferencePd engine(kMachine);
       run = pd_once(jobs, engine, keep_decisions);
     } else {
-      // windowed pinned off: this driver's committed baseline measures the
-      // refinement machinery itself; the screen is bench_window_scale's
-      // subject.
-      PdScheduler engine(kMachine, {.delta = {}, .windowed = false});
+      PdScheduler engine(kMachine);
       run = pd_once(jobs, engine, keep_decisions);
     }
     slowest = std::max(slowest, run.seconds);

@@ -88,14 +88,10 @@ struct RunResult {
 };
 
 // The two engines whose perf trajectory the JSON tracks: the reference
-// (core::ReferencePd) and the production engine. `windowed` is pinned off
-// in the production engine so its label keeps meaning the same machinery
-// across changes and the committed BENCH_throughput.json stays
-// reproducible; the windowed screen has its own driver
-// (bench_window_scale) measuring the workload shape it exists for.
+// (core::ReferencePd) and the default production engine, labelled
+// "indexed" after its interval store.
 const char* const kReference = "reference";
 const char* const kIndexed = "indexed";
-const pss::core::PdOptions kIndexedOptions{.delta = {}, .windowed = false};
 
 constexpr std::uint64_t kStreamSeed = 42;
 constexpr int kRepeats = 5;
@@ -145,7 +141,7 @@ RunResult run_engine(const std::vector<pss::model::Job>& jobs,
       ReferencePd reference(machine);
       run = run_once(jobs, reference);
     } else {
-      PdScheduler scheduler(machine, kIndexedOptions);
+      PdScheduler scheduler(machine);
       run = run_once(jobs, scheduler);
     }
     slowest = std::max(slowest, run.seconds);
@@ -166,7 +162,7 @@ void BM_PdArrivals(benchmark::State& state) {
       make_stream(2000, kDensities.back(), 2.0, 7);
   for (auto _ : state) {
     if (indexed) {
-      PdScheduler scheduler({4, 2.0}, kIndexedOptions);
+      PdScheduler scheduler({4, 2.0});
       for (const pss::model::Job& job : stream)
         benchmark::DoNotOptimize(scheduler.on_arrival(job));
     } else {

@@ -99,34 +99,6 @@ else
 fi
 echo "horizon-smoke: OK (${BUILD_DIR}/bench_results/BENCH_horizon.json)"
 
-# Window-scale smoke: small widths through the segment-tree screen. The
-# driver exits nonzero if the windowed and linear engines ever disagree,
-# if the screen never certifies a rejection, or if windowed probe cost
-# fails the sub-linearity check.
-PSS_WINDOW_MAX_WIDTH=4096 PSS_WINDOW_LINEAR_MAX=4096 PSS_WINDOW_PROBES=48 \
-  PSS_RESULT_DIR=bench_results \
-  ./bench_window_scale --benchmark_filter=NONE_ > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_window.json > /dev/null
-else
-  grep -q '"determinism_match": true' bench_results/BENCH_window.json
-fi
-echo "window-smoke: OK (${BUILD_DIR}/bench_results/BENCH_window.json)"
-
-# Accept-scale smoke: small accept-heavy run of the lazy water-level
-# driver. The driver exits nonzero if the lazy and eager engines ever
-# disagree bitwise, if any accepter missed the closed-form fast path, or
-# if the lazy per-accept cost fails the sub-linearity check.
-PSS_ACCEPT_MAX_TICKS=16384 PSS_ACCEPT_EAGER_MAX=16384 \
-  PSS_RESULT_DIR=bench_results \
-  ./bench_accept_scale --benchmark_filter=NONE_ > /dev/null
-if command -v python3 > /dev/null; then
-  python3 -m json.tool bench_results/BENCH_accept.json > /dev/null
-else
-  grep -q '"determinism_match": true' bench_results/BENCH_accept.json
-fi
-echo "accept-smoke: OK (${BUILD_DIR}/bench_results/BENCH_accept.json)"
-
 # Soak smoke: short steady-state serving run with per-tick horizon
 # compaction. The driver exits nonzero if compacted memory is not flat
 # after warm-up, if the uncompacted twin fails to show the linear growth
@@ -192,20 +164,19 @@ echo "docs-consistency: OK (all emitted BENCH_*.json schemas documented)"
 # where a stale pointer or uninitialised read hides from a plain build.
 # Build a second tree with ASan+UBSan and run the suites that exercise
 # prefix compaction, checkpoint/restore, restore validation of hostile
-# bytes (test_io), the screen-width gate and the stream engine end to end.
+# bytes (test_io) and the stream engine end to end.
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
-cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_screen_gate test_io
+cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_io
 cd "${SAN_DIR}"
 UBSAN_OPTIONS=halt_on_error=1 ./test_compaction > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_stream > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_interval_store > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_recovery > /dev/null
-UBSAN_OPTIONS=halt_on_error=1 ./test_screen_gate > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_io > /dev/null
-echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/screen-gate/io suites)"
+echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/io suites)"
 
 # ThreadSanitizer pass over the concurrent surface: the MPSC rings, the
 # producer handles, the shutdown gate and the engine/ingest suites that

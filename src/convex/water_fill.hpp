@@ -44,7 +44,7 @@ struct Placement {
     model::JobId ignore_job = -1);
 
 /// Same placement over the indexed interval store (the fractional
-/// scheduler's exact path). Only the window walk differs from the
+/// scheduler's placement). Only the window walk differs from the
 /// contiguous overload — per-interval curves are built in window order from
 /// the identical load lists, then the materialized curve sum is inverted —
 /// so the two representations stay bitwise decision-identical.
@@ -63,37 +63,9 @@ struct Placement {
     std::span<const util::PiecewiseLinear* const> curves, double work,
     double max_speed);
 
-/// Closed-form water-fill over a *virgin uniform* window: `count` intervals
-/// of bitwise-equal `length` carrying no committed load. Every empty-load
-/// insertion curve is the same two-knot function, and all decision-path
-/// sums are canonical pairwise sums (util/pairwise_sum.hpp), so the whole
-/// reference computation — summed curve, cap check, level inversion, dust
-/// cutoff, residue absorption — collapses to O(log count) arithmetic that
-/// is bitwise identical to water_fill / water_fill_over_curves on that
-/// window. This is the certified fast path behind PdOptions::lazy: an
-/// accept is recorded as one range annotation {level, amount, first_amount}
-/// instead of `count` per-interval writes.
-struct UniformFill {
-  bool accepted = false;   // false: the cap check rejected (PD line 12(b))
-  double level = 0.0;      // uniform own-speed s*
-  double amount = 0.0;     // per-interval share (post-dust)
-  double first_amount = 0.0;  // amount + residue (first = largest tie)
-};
-[[nodiscard]] UniformFill water_fill_uniform(double length, std::size_t count,
-                                             int num_processors, double work,
-                                             double max_speed);
-
-/// window_capacity over the same virgin uniform window, in O(log count);
-/// bitwise identical to the exact scans above.
-[[nodiscard]] double window_capacity_uniform(double length, std::size_t count,
-                                             int num_processors, double speed);
-
 /// Total work the window can absorb at own-speed exactly `speed`
-/// (the Z(s) above); used by tests and the rejection rule. For the
-/// sub-linear screened evaluation of this quantity on wide windows see
-/// convex::CurveSegmentTree (wired through core::CurveCache and selected
-/// by PdOptions::windowed) — it brackets this exact sum with certified
-/// bounds and defers to these scans whenever the bounds are inconclusive.
+/// (the Z(s) above); used by tests and the fractional scheduler's
+/// service cap.
 [[nodiscard]] double window_capacity(const model::WorkAssignment& assignment,
                                      const model::TimePartition& partition,
                                      int num_processors,

@@ -24,92 +24,22 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
   const model::PowerFunction power(alpha);
 
   OnlineState state;
-  // Windowed screening state (see FractionalPdOptions::windowed). Jobs are
-  // processed once each with instance-unique ids, so the all-loads bounds
-  // always describe the arriving job's exclusion view exactly.
-  const bool windowed = options.windowed;
-  const bool lazy = options.lazy;
-  CurveCache cache;
-  cache.enable_lazy(lazy);
   FractionalPdResult result;
   result.fraction.assign(instance.num_jobs(), 0.0);
   result.lambda.assign(instance.num_jobs(), 0.0);
 
   for (const model::Job& job : instance.jobs_by_release()) {
-    state.ensure_boundary(job.release, &cache);
-    state.ensure_boundary(job.deadline, &cache);
+    state.ensure_boundary(job.release);
+    state.ensure_boundary(job.deadline);
     const auto window = state.store.range(job.release, job.deadline);
-    // The full-service certificate below (bounds.lo >= work) would be
-    // unsound against bounds that miss pending load, so expand any
-    // annotation intersecting this window before screening. Reject-side
-    // staleness would be sound, but fractional needs both directions.
-    if (lazy)
-      cache.lazy_materialize_range(state.store, job.release, job.deadline);
     const double s_cap = rejection_speed(job.value, job.work, alpha, delta);
-
-    // Certified shortcuts off the segment-tree bounds; anything
-    // inconclusive computes the capacity with the exact scan.
-    // A zero-value job has s_cap == 0 (finite): skip the screen — the
-    // tree requires a positive speed — and let the exact scan return its
-    // zero capacity as on the unscreened engine.
-    bool full_certified = false;
-    if (windowed && std::isfinite(s_cap) && s_cap > 0.0) {
-      const convex::CapacityBounds bounds = cache.window_capacity_bounds(
-          state.store, machine.num_processors, window, s_cap);
-      if (bounds.hi <= 1e-12 * job.work) {
-        // capacity <= hi, so min(work, capacity) is below the dust
-        // threshold — the fully-unserved branch, without the scan.
-        ++result.window_prunes;
-        result.lambda[std::size_t(job.id)] = job.value;
-        continue;
-      }
-      if (bounds.lo >= job.work) {
-        // capacity >= work, so min(work, capacity) == work bitwise.
-        full_certified = true;
-        ++result.window_prunes;
-      } else {
-        ++result.window_exact;
-      }
-    } else if (windowed) {
-      ++result.window_exact;
-    }
-
-    // Certified closed-form replay on a virgin uniform window: capacity,
-    // level and placement collapse to O(log n) arithmetic and the commit
-    // becomes one range annotation (see PdScheduler's lazy fast path).
-    double unit = 0.0;
-    if (lazy && s_cap > 0.0 &&
-        cache.lazy_virgin_uniform(state.store, job.release, job.deadline,
-                                  window.size(), &unit)) {
-      const double capacity =
-          full_certified || !std::isfinite(s_cap)
-              ? util::kInf
-              : convex::window_capacity_uniform(
-                    unit, window.size(), machine.num_processors, s_cap);
-      const double target = std::min(job.work, capacity);
-      if (target <= 1e-12 * job.work) {
-        result.lambda[std::size_t(job.id)] = job.value;
-        continue;  // fully unserved
-      }
-      const convex::UniformFill fill = convex::water_fill_uniform(
-          unit, window.size(), machine.num_processors, target, util::kInf);
-      PSS_CHECK(fill.accepted, "fractional placement failed");
-      cache.lazy_commit(job.release, job.deadline, job.id, fill.amount,
-                        fill.first_amount);
-      result.fraction[std::size_t(job.id)] = target / job.work;
-      result.lambda[std::size_t(job.id)] =
-          target < job.work
-              ? job.value
-              : delta * job.work * power.derivative(fill.level);
-      continue;
-    }
 
     // Work the window absorbs below the marginal price v_j; serve up to w.
     const double capacity =
-        full_certified || !std::isfinite(s_cap)
-            ? util::kInf
-            : convex::window_capacity(state.store, machine.num_processors,
-                                      window, s_cap, job.id);
+        std::isfinite(s_cap)
+            ? convex::window_capacity(state.store, machine.num_processors,
+                                      window, s_cap, job.id)
+            : util::kInf;
     const double target = std::min(job.work, capacity);
     if (target <= 1e-12 * job.work) {
       result.lambda[std::size_t(job.id)] = job.value;
@@ -121,10 +51,8 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
     model::IntervalStore::Handle h = state.store.handle_at(window.first);
     for (std::size_t i = 0; i < window.size(); ++i) {
       state.store.set_load(h, job.id, placement->amounts[i]);
-      if (windowed) cache.note_load_changed(h);
       h = state.store.next_handle(h);
     }
-    if (lazy) cache.note_commit_extent(job.release, job.deadline);
     result.fraction[std::size_t(job.id)] = target / job.work;
     // Full service below the cap fixes lambda at the realized marginal;
     // partial service means the marginal hit the price v_j.
@@ -134,11 +62,6 @@ FractionalPdResult run_fractional_pd(const model::Instance& instance,
                                                    placement->speed);
   }
 
-  if (lazy) {
-    cache.lazy_flush(state.store);
-    result.lazy_commits = cache.lazy_stats().commits;
-    result.lazy_materializations = cache.lazy_stats().materializations;
-  }
   result.partition = state.store.snapshot_partition();
   result.assignment = state.store.snapshot_assignment();
   result.schedule = chen::realize_assignment(

@@ -38,23 +38,6 @@ struct FractionalPdOptions {
   /// Pricing parameter; nullopt selects delta = 1 (true marginal-cost
   /// pricing — see the header comment for why this differs from PD).
   std::optional<double> delta;
-  /// Screen arrivals through the convex::CurveSegmentTree capacity bounds.
-  /// Two certified shortcuts, both bitwise identical to the unscreened run
-  /// and to core::run_reference_fractional_pd: a window whose upper
-  /// capacity bound is below the dust threshold is fully unserved without
-  /// scanning it, and one whose lower bound covers the whole workload is
-  /// fully served with target = work without computing the exact capacity.
-  /// Partial service (the inconclusive band) always takes the exact scan.
-  bool windowed = true;
-  /// Lazy water-level commits. Same mechanism as PdOptions::lazy: a job
-  /// whose window is a certified virgin uniform range is served through
-  /// the closed-form replay (convex::water_fill_uniform /
-  /// window_capacity_uniform) and committed as one range annotation.
-  /// Because the *full-service* certificate (lo >= work) is unsound
-  /// against stale bounds, pending annotations intersecting the window are
-  /// materialized before the screen — the result stays bitwise identical
-  /// to lazy=false.
-  bool lazy = true;
 };
 
 struct FractionalPdResult {
@@ -66,10 +49,6 @@ struct FractionalPdResult {
   double energy = 0.0;
   double lost_value = 0.0;       // sum over jobs of (1 - f_j) * v_j
   double dual_lower_bound = 0.0; // g(lambda) — bound on the relaxed optimum
-  long long window_prunes = 0;   // decisions certified by the segment tree
-  long long window_exact = 0;    // windowed arrivals that scanned exactly
-  long long lazy_commits = 0;           // jobs committed as annotations
-  long long lazy_materializations = 0;  // annotations expanded into loads
 
   [[nodiscard]] double total_cost() const { return energy + lost_value; }
 };

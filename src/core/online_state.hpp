@@ -13,7 +13,6 @@
 
 #include <cstddef>
 
-#include "core/curve_cache.hpp"
 #include "model/interval_store.hpp"
 
 namespace pss::core {
@@ -25,12 +24,8 @@ struct OnlineState {
   long long horizon_extensions = 0;
 
   /// Makes t a boundary, splitting committed loads proportionally when t
-  /// falls inside an existing interval. A passed CurveCache gets its lazy
-  /// water-level hooks (no-ops unless its lazy mode is on): before —
-  /// materialize a pending annotation the new boundary would split; after
-  /// — classify the new boundary against the uniform grid.
-  void ensure_boundary(double t, CurveCache* cache = nullptr) {
-    if (cache) cache->before_boundary(store, t);
+  /// falls inside an existing interval.
+  void ensure_boundary(double t) {
     switch (store.ensure_boundary(t)) {
       case model::IntervalStore::Refinement::kSplit:
         ++interval_splits;
@@ -43,7 +38,6 @@ struct OnlineState {
       case model::IntervalStore::Refinement::kBootstrap:
         break;
     }
-    if (cache) cache->after_boundary(store, t);
   }
 
   [[nodiscard]] std::size_t num_intervals() const {

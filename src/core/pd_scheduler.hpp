@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <iosfwd>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/curve_cache.hpp"
@@ -48,31 +47,6 @@ namespace pss::core {
 struct PdOptions {
   /// PD's parameter; nullopt selects the paper-optimal alpha^(1-alpha).
   std::optional<double> delta;
-  /// Screen wide-window arrivals through the convex::CurveSegmentTree
-  /// capacity bounds before touching the window: a rejection the bounds
-  /// certify costs O(log n · log knots) instead of O(window), and an
-  /// inconclusive screen falls back to the exact linear scan — so every
-  /// decision stays bitwise identical to the windowed=false engine and to
-  /// core::ReferencePd (tests/test_differential.cpp). Accepted arrivals
-  /// are Ω(window) regardless (they commit a load into every window
-  /// interval), so the screen targets the rejection path — the case where
-  /// a heavy-lookahead arrival previously paid O(window) for nothing.
-  /// Windows narrower than kMinScreenWidth skip the screen: their exact
-  /// scan is cheaper than the tree's query-time recombination.
-  bool windowed = true;
-  /// Lazy water-level accepts. An arrival whose window is a certified
-  /// *virgin uniform* range — all interval lengths bitwise equal to the
-  /// detected power-of-two grid unit, no committed or pending load — is
-  /// decided by the O(log n) closed-form replay convex::water_fill_uniform
-  /// and, if accepted, recorded as a single range annotation in the
-  /// CurveCache instead of one load write per window interval. Annotations
-  /// materialize into ordinary loads on first touch (split, exact
-  /// fallback, snapshot), so every observable decision/load/energy is
-  /// bitwise identical to the eager engine — the differential suite holds
-  /// all four {windowed} x {lazy} variants to core::ReferencePd. This is
-  /// what makes accept-heavy wide-window streams sub-linear per accept
-  /// (bench_accept_scale / BENCH_accept.json).
-  bool lazy = true;
   /// Keep the per-arrival decision log behind decisions() (and the
   /// rejected marks of final_schedule()). The log grows one entry per
   /// arrival forever, so indefinitely-running serving layers turn it off —
@@ -80,24 +54,7 @@ struct PdOptions {
   bool record_decisions = true;
 };
 
-/// Narrowest window (in intervals) the windowed screen is queried for.
-/// Each query first absorbs new handles and recombines every dirty summary
-/// up to the root, a cost that tracks churn across the whole partition
-/// rather than the window; below this width the exact O(window) scan is
-/// cheaper. The gate cannot change a decision — the screen only certifies
-/// rejections the exact path would make too — and a stream that never
-/// reaches it never builds the tree at all.
-inline constexpr std::size_t kMinScreenWidth = 64;
-
 /// Lightweight instrumentation, filled as arrivals are processed.
-///
-/// Screen accounting: with the windowed screen on, an arrival whose window
-/// spans at least kMinScreenWidth intervals is *screened* and counts in
-/// exactly one of window_prunes (a certified rejection) or window_exact
-/// (everything else, re-arriving accepted ids included). A narrower
-/// arrival counts in neither, so window_prunes + window_exact is the
-/// number of screened arrivals and window_prunes / (window_prunes +
-/// window_exact) is the prune rate per screened arrival.
 struct PdCounters {
   long long arrivals = 0;
   long long accepted = 0;
@@ -106,11 +63,14 @@ struct PdCounters {
   long long horizon_extensions = 0;  // boundaries outside the known horizon
   long long curve_cache_hits = 0;      // curves served without rebuilding
   long long curve_cache_rebuilds = 0;  // curves (re)built from loads
-  long long window_prunes = 0;   // rejections certified by the segment tree
-  long long window_exact = 0;    // screened arrivals that took the exact path
-  long long lazy_fast_path = 0;  // arrivals decided by the closed-form replay
-  long long lazy_commits = 0;           // accepts recorded as annotations
-  long long lazy_materializations = 0;  // annotations expanded into loads
+  // Retired: the capacity screen and the lazy accept path these counted
+  // are gone, so all four always read 0. They stay only because the
+  // serving benchmark (e2ebench/serve_bench.cpp) still reports them; they
+  // go with the next change to that benchmark.
+  long long window_prunes = 0;
+  long long window_exact = 0;
+  long long lazy_fast_path = 0;
+  long long lazy_materializations = 0;
   long long compactions = 0;           // advance_to passes that retired work
   long long compacted_intervals = 0;   // intervals retired behind the frontier
   std::size_t max_intervals = 0;     // partition size high-water mark
@@ -153,14 +113,13 @@ inline constexpr PdCounterField kPdCounterFields[] = {
      &PdCounters::curve_cache_hits, nullptr},
     {"curve_cache_rebuilds", PdCounterField::Kind::kAdd,
      &PdCounters::curve_cache_rebuilds, nullptr},
+    // Retired rows: always 0 (see PdCounters).
     {"window_prunes", PdCounterField::Kind::kAdd, &PdCounters::window_prunes,
      nullptr},
     {"window_exact", PdCounterField::Kind::kAdd, &PdCounters::window_exact,
      nullptr},
     {"lazy_fast_path", PdCounterField::Kind::kAdd,
      &PdCounters::lazy_fast_path, nullptr},
-    {"lazy_commits", PdCounterField::Kind::kAdd, &PdCounters::lazy_commits,
-     nullptr},
     {"lazy_materializations", PdCounterField::Kind::kAdd,
      &PdCounters::lazy_materializations, nullptr},
     {"compactions", PdCounterField::Kind::kAdd, &PdCounters::compactions,
@@ -209,16 +168,16 @@ class PdScheduler {
   /// a periodic heartbeat leaves the partition exactly as arrivals built
   /// it. With compact = true, additionally retires every interval ending at or
   /// before the frontier t - util::clock_tol(t): the retired prefix's
-  /// energy moves into retired_energy(), its store/cache/tree state is
+  /// energy moves into retired_energy(), its store/cache state is
   /// reclaimed, and — because any future arrival has release within
   /// clock_tol of t or later — every subsequent decision is bitwise
   /// identical to the uncompacted run (tests/test_compaction.cpp).
   void advance_to(double t, bool compact = false);
 
   /// Returns the scheduler to its freshly-constructed state (machine, delta
-  /// and mode are kept). The session-reuse entry point for the stream
-  /// engine: a pooled scheduler object is reset and handed to the next
-  /// stream instead of being destroyed and reallocated.
+  /// and record_decisions are kept). The session-reuse entry point for the
+  /// stream engine: a pooled scheduler object is reset and handed to the
+  /// next stream instead of being destroyed and reallocated.
   void reset();
 
   /// The committed partition / assignment. Each call materializes a fresh
@@ -231,18 +190,10 @@ class PdScheduler {
     return partition_snapshot_;
   }
   [[nodiscard]] const model::WorkAssignment& assignment() const {
-    flush_lazy();  // pending annotations must land before a load snapshot
     assignment_snapshot_ = state_.store.snapshot_assignment();
     return assignment_snapshot_;
   }
   [[nodiscard]] double delta() const { return delta_; }
-  [[nodiscard]] bool windowed() const { return windowed_; }
-  [[nodiscard]] bool lazy() const { return lazy_; }
-  /// The windowed screen's segment tree (inspection only): its query
-  /// count and live size show whether the screen ran at all.
-  [[nodiscard]] const convex::CurveSegmentTree& segment_tree() const {
-    return cache_.segment_tree();
-  }
 
   /// Total energy of the committed plan (sum of interval P_k), including
   /// the energy of intervals retired by compaction. Bitwise identical to
@@ -280,31 +231,14 @@ class PdScheduler {
   friend void io::load_scheduler(std::istream&, core::PdScheduler&);
 
   /// Retires every interval ending at or before `frontier`: accumulates
-  /// their energy, reclaims store/cache/tree state, and drops accepted-id
-  /// records whose whole window is behind the frontier (their loads cannot
-  /// appear in any live window, so the screen is valid for them again).
+  /// their energy and reclaims their store and cache state.
   void compact_before(double frontier);
-  /// Materializes every pending lazy annotation. Logically const: it only
-  /// moves already-decided state between representations (annotation ->
-  /// per-interval loads) and cannot change any observable value, which is
-  /// why the const accessors may call it.
-  void flush_lazy() const;
 
   model::Machine machine_;
   double delta_;
-  // Mode flags; io::load_scheduler adopts a checkpoint's mode into them.
-  bool windowed_;
-  bool lazy_;
   bool record_decisions_;
   OnlineState state_;
   CurveCache cache_;
-  // Job ids this scheduler has accepted, with the latest deadline seen
-  // (windowed mode only). The segment tree bounds describe the all-loads
-  // curves, so the screen is valid only for a job with no committed load
-  // in the window; a re-arriving accepted id skips the screen and takes
-  // the exact re-placement path. Compaction erases records whose deadline
-  // is behind the frontier, bounding the map by the live window.
-  std::unordered_map<model::JobId, double> accepted_ids_;
   // Snapshot buffers backing the partition()/assignment() accessors (cold
   // path; see the accessor comment).
   mutable model::TimePartition partition_snapshot_;

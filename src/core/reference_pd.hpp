@@ -7,9 +7,9 @@
 // O(n) vector shifts (Section 3), rebuilds every insertion curve of its
 // window from the committed loads and water-fills over the materialized
 // curve sum (convex::water_fill), and commits its loads eagerly. There is
-// no cache, screen, lazy annotation or compaction — the production
-// engine's mechanisms are all optimizations of exactly this arithmetic,
-// and each one must reproduce it bit for bit.
+// no index, cache or compaction — the production engine's mechanisms are
+// all optimizations of exactly this arithmetic, and each one must
+// reproduce it bit for bit.
 #pragma once
 
 #include <optional>

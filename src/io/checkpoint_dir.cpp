@@ -21,7 +21,6 @@ namespace {
 // "PSSCKPF1" / "PSSMANI1" as little-endian u64s — version byte last.
 constexpr std::uint64_t kPartMagic = 0x3146504B43535350ull;
 constexpr std::uint64_t kManifestMagic = 0x31494E414D535350ull;
-constexpr std::uint64_t kMaxBlob = std::uint64_t(1) << 40;
 
 // Durability primitive: fsync by path. A rename is only crash-safe once
 // both the file's bytes and the directory entry are on stable storage.
@@ -182,7 +181,16 @@ bool CheckpointDir::load_part(std::uint64_t part, std::string& blob,
         continue;
       }
       const std::uint64_t body_len = read_u64(in);
-      PSS_REQUIRE(body_len <= kMaxBlob, "implausible checkpoint length");
+      // Bound the length field by the bytes actually left in the file
+      // before allocating: a corrupt length reads as a torn part, not as
+      // a giant allocation.
+      const std::streamoff body_at = in.tellg();
+      in.seekg(0, std::ios::end);
+      const std::streamoff file_end = in.tellg();
+      in.seekg(body_at);
+      PSS_REQUIRE(body_at >= 0 && file_end >= body_at &&
+                      body_len <= std::uint64_t(file_end - body_at),
+                  "checkpoint length exceeds the file");
       std::string body(body_len, '\0');
       in.read(body.data(), static_cast<std::streamsize>(body_len));
       PSS_REQUIRE(static_cast<std::uint64_t>(in.gcount()) == body_len,

@@ -1,12 +1,10 @@
 #include "io/state_io.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <utility>
 #include <vector>
 
 #include "core/pd_scheduler.hpp"
@@ -135,6 +133,11 @@ void load_counters(std::istream& is, core::PdCounters& c) {
 
 namespace {
 
+// "PSSSCHD1" as a little-endian u64 — version byte last. Leads every
+// scheduler blob so a blob of another layout (e.g. a spill file left by
+// an older build) is refused instead of misread.
+constexpr std::uint64_t kSchedulerTag = 0x3144484353535350ull;
+
 void save_loads(std::ostream& os, const std::vector<model::Load>& loads) {
   write_u64(os, loads.size());
   for (const model::Load& l : loads) {
@@ -143,62 +146,15 @@ void save_loads(std::ostream& os, const std::vector<model::Load>& loads) {
   }
 }
 
-void save_lazy(std::ostream& os, const core::CurveCache::LazyState& lz) {
-  write_u64(os, lz.pending.size());
-  for (const auto& p : lz.pending) {
-    write_f64(os, p.t0);
-    write_f64(os, p.t1);
-    write_i64(os, p.job);
-    write_f64(os, p.amount);
-    write_f64(os, p.first_amount);
-  }
-  write_bool(os, lz.extent_set);
-  write_f64(os, lz.extent_lo);
-  write_f64(os, lz.extent_hi);
-  write_f64(os, lz.grid_unit);
-  write_bool(os, lz.grid_dead);
-  write_u64(os, lz.grid_early.size());
-  for (double t : lz.grid_early) write_f64(os, t);
-  write_u64(os, lz.offgrid.size());
-  for (double t : lz.offgrid) write_f64(os, t);
-  write_i64(os, lz.stats.commits);
-  write_i64(os, lz.stats.materializations);
-}
-
-core::CurveCache::LazyState load_lazy(std::istream& is) {
-  core::CurveCache::LazyState lz;
-  lz.pending.resize(read_count(is));
-  for (auto& p : lz.pending) {
-    p.t0 = read_f64(is);
-    p.t1 = read_f64(is);
-    p.job = static_cast<model::JobId>(read_i64(is));
-    p.amount = read_f64(is);
-    p.first_amount = read_f64(is);
-  }
-  lz.extent_set = read_bool(is);
-  lz.extent_lo = read_f64(is);
-  lz.extent_hi = read_f64(is);
-  lz.grid_unit = read_f64(is);
-  lz.grid_dead = read_bool(is);
-  lz.grid_early.resize(read_count(is));
-  for (double& t : lz.grid_early) t = read_f64(is);
-  lz.offgrid.resize(read_count(is));
-  for (double& t : lz.offgrid) t = read_f64(is);
-  lz.stats.commits = read_i64(is);
-  lz.stats.materializations = read_i64(is);
-  return lz;
-}
-
 }  // namespace
 
 void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
+  write_u64(os, kSchedulerTag);
   // Configuration fingerprint: a restore target must be an identically
   // configured scheduler, or the replayed state would mean something else.
   write_i64(os, s.machine_.num_processors);
   write_f64(os, s.machine_.alpha);
   write_f64(os, s.delta_);
-  write_bool(os, s.windowed_);
-  write_bool(os, s.lazy_);
   write_bool(os, s.record_decisions_);
 
   write_bool(os, s.first_arrival_);
@@ -225,16 +181,6 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
        h = store.next_handle(h))
     save_loads(os, store.loads(h));
 
-  // Accepted-id records in ascending id order (deterministic bytes).
-  std::vector<std::pair<model::JobId, double>> accepted(
-      s.accepted_ids_.begin(), s.accepted_ids_.end());
-  std::sort(accepted.begin(), accepted.end());
-  write_u64(os, accepted.size());
-  for (const auto& [id, deadline] : accepted) {
-    write_i64(os, id);
-    write_f64(os, deadline);
-  }
-
   write_u64(os, s.decisions_.size());
   for (const auto& [id, d] : s.decisions_) {
     write_i64(os, id);
@@ -244,29 +190,20 @@ void save_scheduler(std::ostream& os, const core::PdScheduler& s) {
     write_f64(os, d.planned_energy);
   }
 
-  save_lazy(os, s.cache_.lazy_state());
   save_counters(os, s.counters_);
 }
 
 void load_scheduler(std::istream& is, core::PdScheduler& s) {
+  PSS_REQUIRE(read_u64(is) == kSchedulerTag,
+              "not a scheduler blob of this format version");
   PSS_REQUIRE(read_i64(is) == s.machine_.num_processors,
               "checkpoint machine mismatch");
   PSS_REQUIRE(read_f64(is) == s.machine_.alpha, "checkpoint alpha mismatch");
   PSS_REQUIRE(read_f64(is) == s.delta_, "checkpoint delta mismatch");
-  const bool windowed = read_bool(is);
-  const bool lazy = read_bool(is);
   PSS_REQUIRE(read_bool(is) == s.record_decisions_,
               "checkpoint record_decisions mismatch");
 
   s.reset();
-  // Adopt the blob's mode instead of requiring it: every mode commits
-  // bitwise-identical decisions, so a restore into a differently configured
-  // scheduler continues the checkpointed session unchanged. Machine, delta
-  // and record_decisions above stay strict — those change what the
-  // replayed bytes *mean*.
-  s.windowed_ = windowed;
-  s.lazy_ = lazy;
-  s.cache_.enable_lazy(s.lazy_);
   s.first_arrival_ = read_bool(is);
   // A non-finite clock would refuse every later arrival, and a non-finite
   // or negative retired energy would poison every planned_energy() sum.
@@ -289,7 +226,7 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
     const double b = read_f64(is);
     PSS_REQUIRE(i == 0 || b > prev, "corrupt checkpoint: boundaries");
     prev = b;
-    s.state_.ensure_boundary(b, &s.cache_);
+    s.state_.ensure_boundary(b);
   }
   const std::uint64_t ni = read_count(is);
   PSS_REQUIRE(ni == s.state_.num_intervals(),
@@ -308,24 +245,19 @@ void load_scheduler(std::istream& is, core::PdScheduler& s) {
   s.state_.interval_splits = splits;
   s.state_.horizon_extensions = extensions;
 
-  const std::uint64_t na = read_count(is);
-  for (std::uint64_t i = 0; i < na; ++i) {
+  // Appended as read, never presized from the wire: a corrupt count then
+  // fails as a truncated stream instead of a giant allocation.
+  const std::uint64_t nd = read_count(is);
+  for (std::uint64_t i = 0; i < nd; ++i) {
     const auto id = static_cast<model::JobId>(read_i64(is));
-    s.accepted_ids_[id] = read_f64(is);
-  }
-
-  s.decisions_.resize(read_count(is));
-  for (auto& [id, d] : s.decisions_) {
-    id = static_cast<model::JobId>(read_i64(is));
+    core::ArrivalDecision d;
     d.accepted = read_bool(is);
     d.speed = read_f64(is);
     d.lambda = read_f64(is);
     d.planned_energy = read_f64(is);
+    s.decisions_.push_back({id, d});
   }
 
-  // Restored last: overwrites whatever grid classification the boundary
-  // replay above accumulated with the live run's exact lazy image.
-  s.cache_.restore_lazy_state(load_lazy(is));
   load_counters(is, s.counters_);
 }
 

@@ -2,23 +2,22 @@
 //
 // A steady-state serving process (src/stream) runs for days; restarting it
 // must not replay days of traffic. This module serializes the *semantic*
-// state of a PD session — partition boundaries, committed loads, lazy
-// annotations, accepted-id records, counters, the monotonicity clock and
-// the retired-energy accumulator — and restores it into a
-// freshly-constructed scheduler so that every subsequent decision and
-// energy is bitwise identical to the uninterrupted run.
+// state of a PD session — partition boundaries, committed loads, the
+// decision log, counters, the monotonicity clock and the retired-energy
+// accumulator — and restores it into a freshly-constructed scheduler so
+// that every subsequent decision and energy is bitwise identical to the
+// uninterrupted run.
 //
 // Derived state is deliberately NOT serialized: cached insertion curves
-// and segment-tree summaries rebuild cold on first touch through the same
-// epoch-validated code path a live run uses, so a restore can only change
-// hit/prune *counters*, never a decision (the certified screens fall back
-// to exact arithmetic whenever a certificate is missing).
+// rebuild cold on first touch through the same epoch-validated code path
+// a live run uses, so a restore can only change cache-hit *counters*,
+// never a decision.
 //
 // Wire format: little-endian fixed-width scalars, no padding, no varints.
 //   u8/u64/i64  — unsigned / two's-complement integers
 //   f64         — IEEE-754 binary64 bit pattern in a u64
 // Container = u64 count followed by the elements in deterministic order
-// (time order for intervals, ascending id for maps). Identical state
+// (time order for intervals, arrival order for decisions). Identical state
 // therefore serializes to identical bytes, which the round-trip tests
 // check directly.
 #pragma once
@@ -62,17 +61,17 @@ void store_f64(unsigned char* p, double v);
 void save_counters(std::ostream& os, const core::PdCounters& c);
 void load_counters(std::istream& is, core::PdCounters& c);
 
-/// Serializes one scheduler session. The stream must be binary-clean
-/// (std::ios::binary on files).
+/// Serializes one scheduler session, led by a format tag. The stream must
+/// be binary-clean (std::ios::binary on files).
 void save_scheduler(std::ostream& os, const core::PdScheduler& s);
 
 /// Restores a blob written by save_scheduler into `s`, which must have
 /// been constructed with the same machine, delta and record_decisions
-/// (checked); the windowed/lazy mode is adopted from the blob. Throws
-/// std::invalid_argument on a mismatch, a truncated stream, or a value no
-/// live session can hold: a non-finite release clock, a non-finite or
-/// negative retired energy or load amount. Any prior state of `s` is
-/// discarded.
+/// (checked). Throws std::invalid_argument on a foreign format tag, a
+/// mismatch, a truncated stream (a corrupt count included: records are
+/// appended as read, never presized), or a value no live session can
+/// hold: a non-finite release clock, a non-finite or negative retired
+/// energy or load amount. Any prior state of `s` is discarded.
 void load_scheduler(std::istream& is, core::PdScheduler& s);
 
 }  // namespace pss::io

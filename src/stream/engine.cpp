@@ -294,17 +294,18 @@ void StreamEngine::stop() {
 // ------------------------------------------------------ checkpoint/restore
 
 namespace {
-// "PSSCKPT6" as a little-endian u64 — version byte last. (v2 added the
+// "PSSCKPT7" as a little-endian u64 — version byte last. (v2 added the
 // admission/late-reject tallies to the per-shard stats block; v3 added the
 // WAL checkpoint-mark stamp for crash recovery; v4 added an adaptive-backend
 // block that v5 dropped again, together with its config byte and its two
 // counters in the counter table; v6 dropped the incremental/indexed config
-// bytes and the session blob's contiguous layout. No reader for older
-// versions.)
-constexpr std::uint64_t kCheckpointMagic = 0x3654504B43535350ull;
-// "PSSSHRD4": a single-shard image (checkpoint_shard / restore_shard),
-// version-bumped in lockstep with the v6 session-blob format.
-constexpr std::uint64_t kShardMagic = 0x3444524853535350ull;
+// bytes and the session blob's contiguous layout; v7 dropped the two
+// screen/lazy config bytes, one counter, and the session blob's mode,
+// accepted-id and annotation blocks. No reader for older versions.)
+constexpr std::uint64_t kCheckpointMagic = 0x3754504B43535350ull;
+// "PSSSHRD5": a single-shard image (checkpoint_shard / restore_shard),
+// version-bumped in lockstep with the v7 session-blob format.
+constexpr std::uint64_t kShardMagic = 0x3544524853535350ull;
 }  // namespace
 
 bool StreamEngine::quiesce_producers() {
@@ -331,8 +332,6 @@ void StreamEngine::write_config(std::ostream& os) const {
   io::write_f64(os, options_.machine.alpha);
   io::write_u8(os, options_.scheduler.delta.has_value() ? 1 : 0);
   io::write_f64(os, options_.scheduler.delta.value_or(0.0));
-  io::write_u8(os, options_.scheduler.windowed ? 1 : 0);
-  io::write_u8(os, options_.scheduler.lazy ? 1 : 0);
   io::write_u8(os, options_.record_decisions ? 1 : 0);
 }
 
@@ -347,10 +346,8 @@ void StreamEngine::check_config(std::istream& is) const {
   PSS_REQUIRE(has_delta == options_.scheduler.delta.has_value() &&
                   delta == options_.scheduler.delta.value_or(0.0),
               "checkpoint delta mismatch");
-  PSS_REQUIRE((io::read_u8(is) != 0) == options_.scheduler.windowed &&
-                  (io::read_u8(is) != 0) == options_.scheduler.lazy &&
-                  (io::read_u8(is) != 0) == options_.record_decisions,
-              "checkpoint mode flags mismatch");
+  PSS_REQUIRE((io::read_u8(is) != 0) == options_.record_decisions,
+              "checkpoint record_decisions mismatch");
 }
 
 void StreamEngine::write_shard_state(std::ostream& os, Shard& shard) const {

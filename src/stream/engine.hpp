@@ -275,7 +275,7 @@ class StreamEngine {
   /// Producer count, admission policy and spill budget are serving-side
   /// knobs, not state — they may differ. A restored engine's subsequent
   /// decisions and energies are bitwise identical to the uninterrupted
-  /// run's; certification counters may differ (caches restart cold).
+  /// run's; cache-hit counters may differ (caches restart cold).
   /// Returns the image's wal_mark stamp.
   std::uint64_t restore(std::istream& is);
 

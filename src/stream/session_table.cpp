@@ -187,13 +187,17 @@ void SessionTable::restore(std::istream& is) {
     r.id = static_cast<StreamId>(io::read_u64(is));
     io::load_counters(is, r.counters);
     r.planned_energy = io::read_f64(is);
-    r.decisions.resize(read_count(is));
-    for (auto& [job, d] : r.decisions) {
-      job = static_cast<model::JobId>(io::read_i64(is));
+    // Appended as read, never presized: a corrupt count fails as a
+    // truncated stream instead of a giant allocation.
+    const std::uint64_t n_decisions = read_count(is);
+    for (std::uint64_t k = 0; k < n_decisions; ++k) {
+      const auto job = static_cast<model::JobId>(io::read_i64(is));
+      core::ArrivalDecision d;
       d.accepted = io::read_u8(is) != 0;
       d.speed = io::read_f64(is);
       d.lambda = io::read_f64(is);
       d.planned_energy = io::read_f64(is);
+      r.decisions.push_back({job, d});
     }
     completed_.push_back(std::move(r));
   }

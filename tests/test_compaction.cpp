@@ -1,11 +1,11 @@
 // Horizon compaction and checkpoint/restore (the flat-memory serving
 // contract):
 //   * compacted vs uncompacted twins commit bitwise-identical decisions
-//     and energies across all four {windowed} x {lazy} configurations;
-//   * a checkpoint written mid-soak (with retired energy, accepted-id
-//     records and pending lazy annotations in flight) restores into a
-//     fresh scheduler that replays the remaining traffic bitwise
-//     identically — and re-serializes to the identical bytes;
+//     and energies;
+//   * a checkpoint written mid-soak (with retired energy and recycled
+//     handles in flight) restores into a fresh scheduler that replays the
+//     remaining traffic bitwise identically — and re-serializes to the
+//     identical bytes;
 //   * steady-state serving with per-tick compaction holds O(live window)
 //     structure while the uncompacted twin grows linearly;
 //   * a million idle advances are structure-free: no boundary, no slab
@@ -38,20 +38,8 @@ using model::Machine;
 
 const Machine kMachine{2, 2.5};
 
-PdOptions cube_options(int mask) {
-  PdOptions o;
-  o.windowed = (mask & 1) != 0;
-  o.lazy = (mask & 2) != 0;
-  return o;
-}
-
-std::string cube_name(int mask) {
-  return std::string("windowed=") + ((mask & 1) ? "1" : "0") +
-         " lazy=" + ((mask & 2) ? "1" : "0");
-}
-
 // Steady-state serving traffic: every tick carries a frontier job on the
-// integer grid (the lazy fast path's bread and butter), plus occasional
+// integer grid, plus occasional
 // wide windows, off-grid releases (splits) and cheap jobs (rejections).
 // Releases are nondecreasing, windows span a few ticks — after a short
 // warm-up, arrivals and expiries balance.
@@ -116,18 +104,15 @@ void run_twins(PdScheduler& a, PdScheduler& b, const std::vector<Job>& jobs,
 TEST(Compaction, DifferentialCubeCompactedVsUncompacted) {
   const int ticks = 120;
   const auto jobs = steady_workload(ticks, 2026);
-  for (int mask = 0; mask < 4; ++mask) {
-    SCOPED_TRACE(cube_name(mask));
-    PdScheduler compacted(kMachine, cube_options(mask));
-    PdScheduler plain(kMachine, cube_options(mask));
-    run_twins(compacted, plain, jobs, ticks, 16);
-    if (::testing::Test::HasFatalFailure()) return;
-    // Compaction actually ran and the live window stayed small.
-    EXPECT_GT(compacted.counters().compactions, 0);
-    EXPECT_GT(compacted.counters().compacted_intervals, 0);
-    EXPECT_LT(compacted.live_intervals(), plain.live_intervals());
-    EXPECT_GT(compacted.retired_energy(), 0.0);
-  }
+  PdScheduler compacted(kMachine);
+  PdScheduler plain(kMachine);
+  run_twins(compacted, plain, jobs, ticks, 16);
+  if (::testing::Test::HasFatalFailure()) return;
+  // Compaction actually ran and the live window stayed small.
+  EXPECT_GT(compacted.counters().compactions, 0);
+  EXPECT_GT(compacted.counters().compacted_intervals, 0);
+  EXPECT_LT(compacted.live_intervals(), plain.live_intervals());
+  EXPECT_GT(compacted.retired_energy(), 0.0);
 }
 
 TEST(Compaction, FullRetirementPreservesEnergyBitwise) {
@@ -269,75 +254,44 @@ TEST(Checkpoint, RoundTripAcrossCubeMidSoak) {
   const int ticks = 96;
   const int cut = 48;  // checkpoint mid-stream, state in full flight
   const auto jobs = steady_workload(ticks, 31);
-  for (int mask = 0; mask < 4; ++mask) {
-    SCOPED_TRACE(cube_name(mask));
-    PdScheduler live(kMachine, cube_options(mask));
-    std::size_t j = 0;
-    for (int t = 0; t < cut; ++t) {
-      while (j < jobs.size() && jobs[j].release < double(t + 1))
-        (void)live.on_arrival(jobs[j++]);
-      live.advance_to(double(t + 1), /*compact=*/true);
-    }
-
-    const std::string blob = serialize(live);
-    // Identical state serializes to identical bytes...
-    ASSERT_EQ(serialize(live), blob);
-    PdScheduler restored(kMachine, cube_options(mask));
-    std::istringstream is(blob, std::ios::binary);
-    io::load_scheduler(is, restored);
-    // ...and so does the restored image.
-    ASSERT_EQ(serialize(restored), blob);
-
-    // The restored session replays the rest of the soak bitwise.
-    for (int t = cut; t < ticks; ++t) {
-      while (j < jobs.size() && jobs[j].release < double(t + 1)) {
-        const ArrivalDecision da = live.on_arrival(jobs[j]);
-        const ArrivalDecision db = restored.on_arrival(jobs[j]);
-        expect_decision_eq(da, db, "job " + std::to_string(jobs[j].id));
-        if (::testing::Test::HasFatalFailure()) return;
-        ++j;
-      }
-      live.advance_to(double(t + 1), /*compact=*/true);
-      restored.advance_to(double(t + 1), /*compact=*/true);
-    }
-    ASSERT_EQ(live.planned_energy(), restored.planned_energy());
-    ASSERT_EQ(live.retired_energy(), restored.retired_energy());
-    ASSERT_EQ(live.decisions().size(), restored.decisions().size());
-    for (std::size_t i = 0; i < live.decisions().size(); ++i) {
-      ASSERT_EQ(live.decisions()[i].first, restored.decisions()[i].first);
-      expect_decision_eq(live.decisions()[i].second,
-                         restored.decisions()[i].second,
-                         "decision log " + std::to_string(i));
-    }
+  PdScheduler live(kMachine);
+  std::size_t j = 0;
+  for (int t = 0; t < cut; ++t) {
+    while (j < jobs.size() && jobs[j].release < double(t + 1))
+      (void)live.on_arrival(jobs[j++]);
+    live.advance_to(double(t + 1), /*compact=*/true);
   }
-}
 
-TEST(Checkpoint, CapturesPendingLazyAnnotations) {
-  // Pure frontier traffic keeps annotations pending (nothing forces a
-  // materialization), so the checkpoint must carry them explicitly.
-  PdOptions o;  // defaults: windowed + lazy on
-  PdScheduler live(kMachine, o);
-  for (int t = 0; t < 24; ++t) {
-    (void)live.on_arrival({t, double(t), double(t) + 1.0, 0.8, util::kInf});
-    live.advance_to(double(t) + 1.0, /*compact=*/true);
-  }
-  ASSERT_GT(live.counters().lazy_commits, 0);
   const std::string blob = serialize(live);
-  PdScheduler restored(kMachine, o);
+  // Identical state serializes to identical bytes...
+  ASSERT_EQ(serialize(live), blob);
+  PdScheduler restored(kMachine);
   std::istringstream is(blob, std::ios::binary);
   io::load_scheduler(is, restored);
+  // ...and so does the restored image.
   ASSERT_EQ(serialize(restored), blob);
-  // The pending annotations must land as real loads in both worlds when
-  // the snapshot consumers flush — bitwise equal energies prove it.
-  ASSERT_EQ(live.planned_energy(), restored.planned_energy());
-  for (int t = 24; t < 40; ++t) {
-    const Job job{t, double(t), double(t) + 1.0, 0.8, util::kInf};
-    expect_decision_eq(live.on_arrival(job), restored.on_arrival(job),
-                       "tick " + std::to_string(t));
-    live.advance_to(double(t) + 1.0, /*compact=*/true);
-    restored.advance_to(double(t) + 1.0, /*compact=*/true);
+
+  // The restored session replays the rest of the soak bitwise.
+  for (int t = cut; t < ticks; ++t) {
+    while (j < jobs.size() && jobs[j].release < double(t + 1)) {
+      const ArrivalDecision da = live.on_arrival(jobs[j]);
+      const ArrivalDecision db = restored.on_arrival(jobs[j]);
+      expect_decision_eq(da, db, "job " + std::to_string(jobs[j].id));
+      if (::testing::Test::HasFatalFailure()) return;
+      ++j;
+    }
+    live.advance_to(double(t + 1), /*compact=*/true);
+    restored.advance_to(double(t + 1), /*compact=*/true);
   }
   ASSERT_EQ(live.planned_energy(), restored.planned_energy());
+  ASSERT_EQ(live.retired_energy(), restored.retired_energy());
+  ASSERT_EQ(live.decisions().size(), restored.decisions().size());
+  for (std::size_t i = 0; i < live.decisions().size(); ++i) {
+    ASSERT_EQ(live.decisions()[i].first, restored.decisions()[i].first);
+    expect_decision_eq(live.decisions()[i].second,
+                       restored.decisions()[i].second,
+                       "decision log " + std::to_string(i));
+  }
 }
 
 TEST(Checkpoint, RejectsMismatchedConfigurationAndGarbage) {
@@ -349,23 +303,11 @@ TEST(Checkpoint, RejectsMismatchedConfigurationAndGarbage) {
   std::istringstream is1(blob, std::ios::binary);
   EXPECT_THROW(io::load_scheduler(is1, wrong_machine), std::invalid_argument);
 
-  // Mode flags are adopted, not required: a differently configured target
-  // takes the blob's mode instead of rejecting it, and continues bitwise
-  // identically to the source.
-  PdOptions plain;
-  plain.windowed = false;
-  plain.lazy = false;
-  PdScheduler other_mode(kMachine, plain);
+  PdOptions no_log;
+  no_log.record_decisions = false;
+  PdScheduler wrong_mode(kMachine, no_log);
   std::istringstream is2(blob, std::ios::binary);
-  io::load_scheduler(is2, other_mode);
-  EXPECT_TRUE(other_mode.windowed());
-  EXPECT_TRUE(other_mode.lazy());
-  const Job next{1, 1.0, 4.0, 1.0, 5.0};
-  const auto d_src = source.on_arrival(next);
-  const auto d_restored = other_mode.on_arrival(next);
-  EXPECT_EQ(d_src.accepted, d_restored.accepted);
-  EXPECT_EQ(d_src.lambda, d_restored.lambda);
-  EXPECT_EQ(d_src.planned_energy, d_restored.planned_energy);
+  EXPECT_THROW(io::load_scheduler(is2, wrong_mode), std::invalid_argument);
 
   PdScheduler truncated_target(kMachine, {});
   std::istringstream is3(blob.substr(0, blob.size() / 2), std::ios::binary);

@@ -3,43 +3,50 @@
 // core::ReferencePd transcribes Listing 1 over the contiguous
 // TimePartition + WorkAssignment representation with stateless curves and
 // eager commits. The production core::PdScheduler keeps its state in the
-// stable-handle interval store, places through the insertion-curve cache
-// and the lazy-sum water filling, and optionally screens wide windows
-// (`windowed`) and commits virgin uniform accepts as range annotations
-// (`lazy`). Every one of the four {windowed} x {lazy} variants must be
-// *decision-identical* to the reference: same accept/reject bits, and
-// bitwise-equal lambdas, speeds, planned energies, final-schedule cost and
-// split counts, on every instance we can generate. The fast paths mirror
-// the reference arithmetic operation for operation (see
-// util::LazyLinearSum and model::IntervalStore), so the comparisons here
-// are exact EQ, not NEAR — any reordering of floating-point work in a
-// future change will show up as a hard failure, which is the point.
+// stable-handle interval store and places through the insertion-curve
+// cache and the lazy-sum water filling. The two must be
+// *decision-identical*: same accept/reject bits, and bitwise-equal
+// lambdas, speeds, planned energies, final-schedule cost and split counts,
+// on every instance we can generate. The production path mirrors the
+// reference arithmetic operation for operation (see util::LazyLinearSum
+// and model::IntervalStore), so the comparisons here are exact EQ, not
+// NEAR — any reordering of floating-point work in a future change will
+// show up as a hard failure, which is the point.
+//
+// Identity cannot catch a bug both engines share, so every instance is
+// also held to Theorem 3: at the default delta, PD's certified ratio
+// cost / g(lambda-tilde) stays within alpha^alpha.
 //
 // Coverage: ~1k seeded instances across uniform, bursty (Poisson heavy
 // tail), tight-laxity, and the adversarial Theorem-3 stream, for
 // alpha in {1.1, 2, 3} x m in {1, 4, 16}; plus split-heavy long-horizon
 // families (bisection deadlines and heavy-tailed lookahead anchors) that
-// stress the Section-3 refinement machinery, an accept-heavy long-horizon
-// family where pruned rejections are rare (the lazy water-level regime),
-// and the fractional scheduler against core::run_reference_fractional_pd.
+// stress the Section-3 refinement machinery, wide windows from one
+// interval to the full horizon, a refinement torture with tolerance
+// prepends, an accept-heavy long-horizon family, recycled (reset())
+// schedulers, and the fractional scheduler against
+// core::run_reference_fractional_pd.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/fractional_pd.hpp"
 #include "core/pd_scheduler.hpp"
 #include "core/reference_pd.hpp"
+#include "core/rejection.hpp"
+#include "core/run.hpp"
 #include "model/instance.hpp"
 #include "model/schedule.hpp"
+#include "util/math.hpp"
 #include "util/random.hpp"
 #include "workload/generators.hpp"
 
 namespace pss {
 namespace {
 
-using core::PdOptions;
 using core::PdScheduler;
 using core::ReferencePd;
 using model::Machine;
@@ -51,81 +58,60 @@ struct DiffParam {
 
 class PdDifferential : public ::testing::TestWithParam<DiffParam> {};
 
-// The production engine's four configurations. `windowed` selects the
-// segment-tree screen and `lazy` the annotation-based water-level commits;
-// the lazy rows are the bitwise-identity proof for the annotation
-// machinery: identical decisions, lambdas, speeds, energies and final
-// costs against the eager reference on every instance.
-const struct EngineVariant {
-  const char* name;
-  PdOptions options;
-} kVariants[] = {
-    {"plain", {.delta = {}, .windowed = false, .lazy = false}},
-    {"windowed", {.delta = {}, .windowed = true, .lazy = false}},
-    {"lazy", {.delta = {}, .windowed = false, .lazy = true}},
-    {"windowed+lazy", {.delta = {}, .windowed = true, .lazy = true}},
-};
-
-// Feeds the reference and all variants in lockstep and asserts
-// bitwise-identical decisions.
-void expect_engines_identical(const model::Instance& instance) {
+// Feeds `arrivals` (the instance in release order when empty) to the
+// reference and the production engine in lockstep and asserts
+// bitwise-identical decisions, then holds the instance to Theorem 3. A
+// non-empty `warmup` is served by the production engine first, compacted
+// away and dropped by reset() — the stream engine's session-recycling
+// path — so the comparison also proves a recycled scheduler carries
+// nothing over.
+void expect_engines_identical(const model::Instance& instance,
+                              std::span<const model::Job> arrivals = {},
+                              std::span<const model::Job> warmup = {}) {
+  const std::vector<model::Job> by_release = instance.jobs_by_release();
+  if (arrivals.empty()) arrivals = by_release;
   ReferencePd reference(instance.machine());
-  std::vector<PdScheduler> variants;
-  for (const EngineVariant& v : kVariants)
-    variants.emplace_back(instance.machine(), v.options);
-  for (const model::Job& job : instance.jobs_by_release()) {
+  PdScheduler production(instance.machine());
+  if (!warmup.empty()) {
+    for (const model::Job& job : warmup) (void)production.on_arrival(job);
+    production.advance_to(warmup.back().deadline, /*compact=*/true);
+    production.reset();
+  }
+  for (const model::Job& job : arrivals) {
     const auto a = reference.on_arrival(job);
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      const auto b = variants[i].on_arrival(job);
-      ASSERT_EQ(a.accepted, b.accepted)
-          << kVariants[i].name << " " << job.to_string();
-      ASSERT_EQ(a.speed, b.speed)
-          << kVariants[i].name << " " << job.to_string();
-      ASSERT_EQ(a.lambda, b.lambda)
-          << kVariants[i].name << " " << job.to_string();
-      ASSERT_EQ(a.planned_energy, b.planned_energy)
-          << kVariants[i].name << " " << job.to_string();
-    }
+    const auto b = production.on_arrival(job);
+    ASSERT_EQ(a.accepted, b.accepted) << job.to_string();
+    ASSERT_EQ(a.speed, b.speed) << job.to_string();
+    ASSERT_EQ(a.lambda, b.lambda) << job.to_string();
+    ASSERT_EQ(a.planned_energy, b.planned_energy) << job.to_string();
   }
-  const auto cost_ref = reference.final_schedule().cost(instance);
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    ASSERT_EQ(reference.planned_energy(), variants[i].planned_energy())
-        << kVariants[i].name;
-    ASSERT_EQ(cost_ref.total(), variants[i].final_schedule().cost(instance)
-                                    .total())
-        << kVariants[i].name;
-    ASSERT_EQ(reference.interval_splits(),
-              variants[i].counters().interval_splits)
-        << kVariants[i].name;
-    // Every variant must actually have gone through the curve cache.
-    EXPECT_GT(variants[i].counters().curve_cache_hits +
-                  variants[i].counters().curve_cache_rebuilds,
-              0)
-        << kVariants[i].name;
-  }
+  ASSERT_EQ(reference.planned_energy(), production.planned_energy());
+  ASSERT_EQ(reference.final_schedule().cost(instance).total(),
+            production.final_schedule().cost(instance).total());
+  ASSERT_EQ(reference.interval_splits(),
+            production.counters().interval_splits);
+  // The production engine must actually have gone through the curve cache.
+  EXPECT_GT(production.counters().curve_cache_hits +
+                production.counters().curve_cache_rebuilds,
+            0);
+
+  // Theorem 3 at the default (optimal) delta.
+  const double alpha = instance.machine().alpha;
+  EXPECT_LE(core::run_pd(instance).certified_ratio,
+            std::pow(alpha, alpha) * (1.0 + 1e-6));
 }
 
-// The fractional scheduler across {windowed} x {lazy} against the
-// fractional reference, bitwise.
+// The fractional scheduler against the fractional reference, bitwise.
 void expect_fractional_identical(const model::Instance& instance) {
   const auto reference = core::run_reference_fractional_pd(instance);
-  const core::FractionalPdOptions variants[] = {
-      {.delta = {}, .windowed = false, .lazy = false},
-      {.delta = {}, .windowed = true, .lazy = false},
-      {.delta = {}, .windowed = false, .lazy = true},
-      {.delta = {}, .windowed = true, .lazy = true},
-  };
-  for (const auto& options : variants) {
-    const auto other = core::run_fractional_pd(instance, options);
-    ASSERT_EQ(reference.fraction, other.fraction)
-        << "windowed=" << options.windowed << " lazy=" << options.lazy;
-    ASSERT_EQ(reference.lambda, other.lambda);
-    ASSERT_EQ(reference.energy, other.energy);
-    ASSERT_EQ(reference.lost_value, other.lost_value);
-    ASSERT_EQ(reference.dual_lower_bound, other.dual_lower_bound);
-    ASSERT_EQ(reference.partition.boundaries(),
-              other.partition.boundaries());
-  }
+  const auto production = core::run_fractional_pd(instance);
+  ASSERT_EQ(reference.fraction, production.fraction);
+  ASSERT_EQ(reference.lambda, production.lambda);
+  ASSERT_EQ(reference.energy, production.energy);
+  ASSERT_EQ(reference.lost_value, production.lost_value);
+  ASSERT_EQ(reference.dual_lower_bound, production.dual_lower_bound);
+  ASSERT_EQ(reference.partition.boundaries(),
+            production.partition.boundaries());
 }
 
 constexpr int kSeedsPerFamily = 25;
@@ -258,9 +244,7 @@ TEST_P(PdDifferential, SplitHeavyLookaheadInstances) {
 
 // Wide-window family: a loaded backdrop whose lookahead plants load far
 // ahead of the release frontier, punctuated by arrivals whose windows
-// span up to the whole horizon at values from hopeless to irresistible —
-// the regime PdOptions::windowed screens. The windowed engines must stay
-// bitwise identical while the screen demonstrably fires.
+// span up to the whole horizon at values from hopeless to irresistible.
 model::Instance wide_window_instance(int num_jobs, Machine machine,
                                      std::uint64_t seed) {
   util::Rng rng(seed);
@@ -288,25 +272,15 @@ TEST_P(PdDifferential, WideWindowInstances) {
     const auto inst = wide_window_instance(150, Machine{param.m, param.alpha},
                                            8200 + std::uint64_t(seed));
     expect_engines_identical(inst);
-    if (::testing::Test::HasFatalFailure()) return;
-    // The screen must have certified rejections on this family — not
-    // merely run (window_exact counts fallbacks, so prunes is the signal).
-    PdScheduler windowed(inst.machine(), {});
-    for (const model::Job& job : inst.jobs_by_release())
-      (void)windowed.on_arrival(job);
-    EXPECT_GT(windowed.counters().window_prunes, 0);
   }
 }
 
-// Accept-heavy long-horizon family: the lazy water-level regime. A stream
-// of tick jobs marches along an integer grid, each with a one-interval
-// virgin window at the release frontier and a value chosen to be accepted —
-// the certified closed-form fast path, committed as range annotations.
-// Periodic wide jobs overlap many pending tick annotations (bulk
-// materialization followed by the exact scan), rare low-value losers are
-// the only rejections, and in the second half occasional half-tick
-// (power-of-two) releases refine the detected grid unit and split pending
-// annotations through the before_boundary hook.
+// Accept-heavy long-horizon family. A stream of tick jobs marches along an
+// integer grid, each with a one-interval empty window at the release
+// frontier and a value chosen to be accepted. Periodic wide jobs overlap
+// many committed tick loads, rare low-value losers are the only
+// rejections, and in the second half occasional half-tick releases split
+// committed intervals.
 model::Instance accept_heavy_instance(int num_ticks, Machine machine,
                                       std::uint64_t seed) {
   util::Rng rng(seed);
@@ -322,7 +296,7 @@ model::Instance accept_heavy_instance(int num_ticks, Machine machine,
                  rng.uniform(4.0, 8.0);  // comfortably accepted
     jobs.push_back(tick);
     if (t % 8 == 5) {
-      model::Job wide;  // overlaps the pending tick annotations ahead
+      model::Job wide;  // overlaps the committed tick loads ahead
       wide.id = id++;
       wide.release = double(t);
       wide.deadline = double(t) + 9.0;
@@ -341,7 +315,7 @@ model::Instance accept_heavy_instance(int num_ticks, Machine machine,
       jobs.push_back(loser);
     }
     if (t >= num_ticks / 2 && t % 10 == 7) {
-      model::Job half;  // off-tick boundary: splits pending annotations
+      model::Job half;  // off-tick boundary: splits committed intervals
       half.id = id++;
       half.release = double(t) + 0.5;
       half.deadline = double(t) + 2.5;
@@ -362,18 +336,136 @@ TEST_P(PdDifferential, AcceptHeavyLongHorizonInstances) {
                                             8300 + std::uint64_t(seed));
     expect_engines_identical(inst);
     if (::testing::Test::HasFatalFailure()) return;
-    // The default engine (all fast paths on) must demonstrably exercise the
-    // lazy machinery on this family, not merely match it: closed-form
-    // accepts committed as annotations AND annotations expanded on touch.
-    PdScheduler lazy_engine(inst.machine(), {});
+    // The family really is accept-heavy.
+    PdScheduler production(inst.machine());
     for (const model::Job& job : inst.jobs_by_release())
-      (void)lazy_engine.on_arrival(job);
-    EXPECT_GT(lazy_engine.counters().lazy_fast_path, 0);
-    EXPECT_GT(lazy_engine.counters().lazy_commits, 0);
-    EXPECT_GT(lazy_engine.counters().lazy_materializations, 0);
-    EXPECT_LT(lazy_engine.counters().rejected,
-              lazy_engine.counters().accepted / 4);
+      (void)production.on_arrival(job);
+    EXPECT_LT(production.counters().rejected,
+              production.counters().accepted / 4);
     expect_fractional_identical(inst);
+  }
+}
+
+// Window widths spanning one interval to the full horizon: an umbrella and
+// a backdrop of lookahead jobs load a unit grid past the release frontier,
+// then probes from the frontier double in width up to the whole horizon at
+// hopeless, contested and generous values.
+model::Instance width_sweep_instance(Machine machine, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const int horizon = 256;
+  const int lookahead = 64;
+  std::vector<model::Job> jobs;
+  jobs.push_back({0, 0.0, double(horizon + lookahead), 1.0, util::kInf});
+  for (int t = 0; t < horizon; ++t) {
+    model::Job job{model::JobId(jobs.size()), double(t),
+                   double(t + lookahead), rng.uniform(0.3, 1.5), 0.0};
+    job.value = workload::energy_fair_value(job, machine.alpha) *
+                rng.uniform(0.5, 4.0);
+    jobs.push_back(job);
+  }
+  for (int width = 1; width <= horizon; width *= 2) {
+    for (const double value_scale : {0.02, 1.0, 50.0}) {
+      model::Job job{model::JobId(jobs.size()), double(horizon),
+                     double(horizon + width),
+                     rng.uniform(0.5, 2.0) * double(width), 0.0};
+      job.value = workload::energy_fair_value(job, machine.alpha) *
+                  value_scale;
+      jobs.push_back(job);
+    }
+  }
+  return model::make_instance(machine, std::move(jobs));
+}
+
+TEST_P(PdDifferential, WidthsFromOneToFullHorizonInstances) {
+  const DiffParam param = GetParam();
+  for (int seed = 0; seed < 2; ++seed) {
+    SCOPED_TRACE("width-sweep seed " + std::to_string(seed));
+    expect_engines_identical(width_sweep_instance(
+        Machine{param.m, param.alpha}, 8400 + std::uint64_t(seed)));
+  }
+}
+
+// Refinement torture: an umbrella, then a tolerance prepend (released a
+// hair before the umbrella, inside the clock tolerance, but fed after it),
+// then interleaved splits and far horizon extensions with committed loads
+// present. The jobs come back in feed order, which is not release order.
+std::vector<model::Job> refinement_torture_jobs(std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<model::Job> jobs;
+  jobs.push_back({0, 1.0, 65.0, rng.uniform(4.0, 10.0), util::kInf});
+  jobs.push_back({1, 1.0 - 0.5e-12, 1.5, 0.4, 3.0});
+  double t = 1.0;
+  for (int i = 2; i < 40; ++i) {
+    t += rng.uniform(0.1, 2.0);
+    const bool extend = rng.bernoulli(0.2);
+    const double span =
+        extend ? rng.uniform(70.0, 120.0) : rng.uniform(0.3, 9.0);
+    jobs.push_back({i, t, t + span, rng.uniform(0.2, 3.0),
+                    std::pow(10.0, rng.uniform(-2.0, 2.0))});
+  }
+  return jobs;
+}
+
+TEST_P(PdDifferential, RefinementTortureInstances) {
+  const DiffParam param = GetParam();
+  for (int seed = 0; seed < 4; ++seed) {
+    SCOPED_TRACE("refinement-torture seed " + std::to_string(seed));
+    const std::vector<model::Job> jobs =
+        refinement_torture_jobs(8500 + std::uint64_t(seed));
+    expect_engines_identical(
+        model::make_instance(Machine{param.m, param.alpha}, jobs), jobs);
+  }
+}
+
+// Recycled schedulers: the production engine first serves another stream,
+// compacts it and is reset() — the stream engine's session pooling — and
+// must then match the reference as if fresh.
+TEST_P(PdDifferential, RecycledSchedulerInstances) {
+  const DiffParam param = GetParam();
+  const Machine machine{param.m, param.alpha};
+  for (int seed = 0; seed < 2; ++seed) {
+    SCOPED_TRACE("recycled seed " + std::to_string(seed));
+    const std::vector<model::Job> warmup =
+        accept_heavy_instance(48, machine, 8600 + std::uint64_t(seed))
+            .jobs_by_release();
+    expect_engines_identical(
+        lookahead_instance(120, machine, 8700 + std::uint64_t(seed)), {},
+        warmup);
+  }
+}
+
+// A rejection speed can be finite yet exactly zero: instances require
+// value > 0, but s_cap = (v/(delta*alpha*w))^(1/(alpha-1)) underflows to
+// 0.0 for a legal tiny value once the exponent is large (alpha near 1).
+// Both fractional engines must take the fully-unserved branch for it.
+TEST_P(PdDifferential, UnderflowedRejectionSpeedFractionalInstances) {
+  const DiffParam param = GetParam();
+  const Machine machine{param.m, param.alpha};
+  util::Rng rng(8800);
+  std::vector<model::Job> jobs;
+  jobs.push_back({0, 0.0, 8.0, 2.0, util::kInf});
+  for (int i = 1; i < 16; ++i) {
+    const double release = 0.5 * double(i);
+    model::Job job{i, release, release + rng.uniform(1.0, 6.0),
+                   rng.uniform(0.5, 2.0), 1e-300};
+    if (i % 2 == 0)
+      job.value = workload::energy_fair_value(job, machine.alpha) *
+                  rng.uniform(0.5, 4.0);
+    jobs.push_back(job);
+  }
+  const auto inst = model::make_instance(machine, jobs);
+  expect_fractional_identical(inst);
+  if (::testing::Test::HasFatalFailure()) return;
+  const auto production = core::run_fractional_pd(inst);
+  int underflowed = 0;
+  for (const model::Job& job : jobs) {
+    if (core::rejection_speed(job.value, job.work, machine.alpha, 1.0) != 0.0)
+      continue;
+    ++underflowed;
+    EXPECT_EQ(production.fraction[std::size_t(job.id)], 0.0);
+  }
+  if (machine.alpha < 1.5) {
+    EXPECT_GT(underflowed, 0);
   }
 }
 

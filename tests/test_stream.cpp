@@ -171,11 +171,10 @@ TEST(SessionTable, RecycledSchedulerStartsClean) {
   EXPECT_EQ(again->counters.arrivals, (long long)jobs.size());
 }
 
-TEST(SessionTable, RecycledSessionReplaysNoStaleLazyLevels) {
-  // Pure tick streams are the lazy fast-path regime: accepts become
-  // pending range annotations. A recycled session serving a second stream
-  // over the *same* time range must not replay the first stream's water
-  // levels — its results and lazy counters must match a fresh session's.
+TEST(SessionTable, RecycledSessionReplaysTickStreamBitwise) {
+  // A recycled session serving a second stream over the *same* time range
+  // must not carry anything over from the first: its results must match
+  // decision for decision.
   auto config = small_config(1, 40);
   config.jobs_per_tick = 1.0;
   config.min_span = 1;
@@ -184,12 +183,9 @@ TEST(SessionTable, RecycledSessionReplaysNoStaleLazyLevels) {
   stream::SessionTable table(kMachine, {}, true);
   for (const model::Job& job : jobs) table.feed(1, job);
   const stream::StreamResult* first = table.close(1);
-  EXPECT_GT(first->counters.lazy_commits, 0);  // the fast path really ran
   for (const model::Job& job : jobs) table.feed(2, job);  // recycled object
   const stream::StreamResult* again = table.close(2);
   EXPECT_EQ(again->planned_energy, first->planned_energy);
-  EXPECT_EQ(again->counters.lazy_fast_path, first->counters.lazy_fast_path);
-  EXPECT_EQ(again->counters.lazy_commits, first->counters.lazy_commits);
   ASSERT_EQ(again->decisions.size(), first->decisions.size());
   for (std::size_t i = 0; i < first->decisions.size(); ++i) {
     EXPECT_EQ(again->decisions[i].second.accepted,
@@ -198,6 +194,39 @@ TEST(SessionTable, RecycledSessionReplaysNoStaleLazyLevels) {
               first->decisions[i].second.speed);
     EXPECT_EQ(again->decisions[i].second.lambda,
               first->decisions[i].second.lambda);
+  }
+}
+
+// A corrupt completed-stream decision count must be refused as a truncated
+// image, not turned into an allocation sized by the wire.
+TEST(SessionTable, RestoreRefusesCorruptDecisionCount) {
+  const auto jobs = sim::make_stream_jobs(small_config(1, 6), 0,
+                                          kMachine.alpha);
+  stream::SessionTable table(kMachine, {}, true);
+  for (const model::Job& job : jobs) table.feed(1, job);
+  ASSERT_NE(table.close(1), nullptr);
+  std::ostringstream os(std::ios::binary);
+  table.checkpoint(os);
+  const std::string image = os.str();
+  {
+    stream::SessionTable intact(kMachine, {}, true);
+    std::istringstream is(image, std::ios::binary);
+    intact.restore(is);
+  }
+  // The image ends with the one completed stream's decision count and its
+  // 33-byte records (i64 job, u8 accepted, three f64).
+  const std::size_t count_at = image.size() - 33 * jobs.size() - 8;
+  for (const std::uint64_t count :
+       {std::uint64_t(jobs.size() + 1), std::uint64_t(1) << 30,
+        std::uint64_t(1) << 39}) {
+    SCOPED_TRACE("decision count " + std::to_string(count));
+    std::string patched = image;
+    for (int b = 0; b < 8; ++b)
+      patched[count_at + std::size_t(b)] =
+          static_cast<char>((count >> (8 * b)) & 0xff);
+    stream::SessionTable target(kMachine, {}, true);
+    std::istringstream is(patched, std::ios::binary);
+    EXPECT_THROW(target.restore(is), std::invalid_argument);
   }
 }
 
@@ -266,55 +295,6 @@ TEST(StreamEngine, ShardCountInvarianceBitwise1_4_16) {
               1e-9 * at1.snapshot.closed_energy);
   EXPECT_EQ(at1.snapshot.counters.interval_splits,
             at16.snapshot.counters.interval_splits);
-}
-
-// The shard-invariance property must survive the lazy water-level backend:
-// with lazy explicitly on, any shard count produces bitwise-identical
-// per-stream decisions — and they are bitwise identical to an eager
-// (lazy=false) engine on the same streams.
-TEST(StreamEngine, ShardCountInvarianceHoldsWithLazyLevels) {
-  auto config = small_config(24, 32);
-  config.jobs_per_tick = 1.0;  // tick streams: the lazy fast-path regime
-  config.min_span = 1;
-  config.max_span = 4;
-  const auto with_lazy = [](std::size_t shards, bool lazy) {
-    stream::EngineOptions options;
-    options.num_shards = shards;
-    options.machine = kMachine;
-    options.record_decisions = true;
-    options.scheduler.lazy = lazy;
-    return options;
-  };
-  const auto lazy1 = sim::sweep_streams(config, with_lazy(1, true));
-  const auto lazy5 = sim::sweep_streams(config, with_lazy(5, true));
-  const auto eager3 = sim::sweep_streams(config, with_lazy(3, false));
-  // The annotation machinery demonstrably ran on the lazy engines only.
-  EXPECT_GT(lazy1.snapshot.counters.lazy_commits, 0);
-  EXPECT_EQ(lazy1.snapshot.counters.lazy_commits,
-            lazy5.snapshot.counters.lazy_commits);
-  EXPECT_EQ(eager3.snapshot.counters.lazy_commits, 0);
-  ASSERT_EQ(lazy1.streams.size(), 24u);
-  ASSERT_EQ(lazy5.streams.size(), 24u);
-  ASSERT_EQ(eager3.streams.size(), 24u);
-  for (std::size_t s = 0; s < 24; ++s) {
-    const auto& a = lazy1.streams[s];
-    const auto& b = lazy5.streams[s];
-    const auto& c = eager3.streams[s];
-    ASSERT_EQ(a.id, b.id);
-    ASSERT_EQ(a.id, c.id);
-    EXPECT_EQ(a.planned_energy, b.planned_energy);
-    EXPECT_EQ(a.planned_energy, c.planned_energy);
-    ASSERT_EQ(a.decisions.size(), b.decisions.size());
-    ASSERT_EQ(a.decisions.size(), c.decisions.size());
-    for (std::size_t i = 0; i < a.decisions.size(); ++i) {
-      EXPECT_EQ(a.decisions[i].second.accepted,
-                b.decisions[i].second.accepted);
-      EXPECT_EQ(a.decisions[i].second.speed, b.decisions[i].second.speed);
-      EXPECT_EQ(a.decisions[i].second.lambda, c.decisions[i].second.lambda);
-      EXPECT_EQ(a.decisions[i].second.planned_energy,
-                c.decisions[i].second.planned_energy);
-    }
-  }
 }
 
 TEST(StreamEngine, SnapshotTotalsAreConsistent) {
@@ -643,6 +623,41 @@ TEST(StreamEngine, RestoreRejectsMismatchedEngine) {
                              std::ios::binary);
   stream::StreamEngine fresh(engine_options(2));
   EXPECT_THROW(fresh.restore(garbage), std::invalid_argument);
+}
+
+// The checkpoint and shard-image magics carry the format version: images
+// of the previous layout ("PSSCKPT6" / "PSSSHRD4") are refused up front.
+TEST(StreamEngine, RestoreRefusesPreviousFormatMagics) {
+  stream::StreamEngine source(engine_options(2));
+  model::Job job;
+  job.id = 0;
+  job.release = 1.0;
+  job.deadline = 5.0;
+  job.work = 1.0;
+  source.feed(1, job);
+  std::ostringstream full(std::ios::binary);
+  source.checkpoint(full);
+  std::ostringstream shard(std::ios::binary);
+  source.checkpoint_shard(0, shard);
+  ASSERT_EQ(full.str().substr(0, 8), "PSSCKPT7");
+  ASSERT_EQ(shard.str().substr(0, 8), "PSSSHRD5");
+
+  {
+    stream::StreamEngine intact(engine_options(2));
+    std::istringstream is(full.str(), std::ios::binary);
+    EXPECT_NO_THROW(intact.restore(is));
+  }
+  std::string old_full = full.str();
+  old_full.replace(0, 8, "PSSCKPT6");
+  stream::StreamEngine target(engine_options(2));
+  std::istringstream is1(old_full, std::ios::binary);
+  EXPECT_THROW(target.restore(is1), std::invalid_argument);
+
+  std::string old_shard = shard.str();
+  old_shard.replace(0, 8, "PSSSHRD4");
+  stream::StreamEngine shard_target(engine_options(2));
+  std::istringstream is2(old_shard, std::ios::binary);
+  EXPECT_THROW(shard_target.restore_shard(0, is2), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ StreamSweep
