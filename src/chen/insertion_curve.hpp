@@ -35,10 +35,28 @@ namespace pss::chen {
 
 /// Same curve built straight from an interval's committed loads, skipping
 /// `ignore_job` (pass -1 to keep every load). Produces the identical curve
-/// the vector overload builds from the extracted amounts; this is the entry
-/// point the scheduler's per-interval curve cache rebuilds through.
+/// the vector overload builds from the extracted amounts.
 [[nodiscard]] util::PiecewiseLinear insertion_curve(
     const std::vector<model::Load>& loads, model::JobId ignore_job,
     int num_processors, double length);
+
+/// Working storage for in-place curve builds. It carries nothing from one
+/// build to the next; a caller that rebuilds several curves in a row passes
+/// the same one to each, so only the first rebuilds grow its buffers.
+struct CurveScratch {
+  std::vector<double> loads;       // the positive loads, sorted descending
+  std::vector<double> prefix;      // prefix sums of `loads`
+  std::vector<double> candidates;  // speeds where the slope may change
+  std::vector<util::PiecewiseLinear::Knot> knots;
+};
+
+/// Rebuilds `out` in place as the curve the Load overload above returns,
+/// bitwise, reusing `out`'s knot storage (util::PiecewiseLinear::assign).
+/// Both allocating overloads run through this code. This is the entry point
+/// the scheduler's per-interval curve cache rebuilds through.
+void rebuild_insertion_curve(util::PiecewiseLinear& out,
+                             const std::vector<model::Load>& loads,
+                             model::JobId ignore_job, int num_processors,
+                             double length, CurveScratch& scratch);
 
 }  // namespace pss::chen

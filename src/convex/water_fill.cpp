@@ -24,7 +24,7 @@ std::vector<double> other_loads(const std::vector<model::Load>& all,
 
 // Window-order walks: call fn(loads, length) for each interval of
 // `window`, with bitwise-identical lengths on both representations. The
-// store walk is amortized O(1) per step after the O(log n) seek.
+// store walk is O(1) per step after the O(log n) seek.
 template <typename Fn>
 void for_window(const model::WorkAssignment& assignment,
                 const model::TimePartition& partition,
@@ -41,12 +41,8 @@ void for_window(const model::IntervalStore& store, model::IntervalRange window,
   PSS_REQUIRE(window.last <= store.num_intervals(), "window exceeds store");
   model::IntervalStore::Handle h = store.handle_at(window.first);
   for (std::size_t i = 0; i < window.size(); ++i) {
-    const model::IntervalStore::Handle next = store.next_handle(h);
-    const double end = next == model::IntervalStore::kNoHandle
-                           ? store.back_boundary()
-                           : store.start_of(next);
-    fn(store.loads(h), end - store.start_of(h));
-    h = next;
+    fn(store.loads(h), store.length_of(h));
+    h = store.next_handle(h);
   }
 }
 
@@ -157,12 +153,12 @@ std::optional<Placement> water_fill(const model::IntervalStore& store,
 
 std::optional<Placement> water_fill_over_curves(
     std::span<const util::PiecewiseLinear* const> curves, double work,
-    double max_speed) {
+    double max_speed, util::LazyLinearSum::Scratch& scratch) {
   PSS_REQUIRE(!curves.empty(), "empty placement window");
   PSS_REQUIRE(work > 0.0, "work must be positive");
   PSS_REQUIRE(max_speed > 0.0, "max speed must be positive");
 
-  const util::LazyLinearSum total(curves);
+  const util::LazyLinearSum total(curves, scratch);
 
   if (std::isfinite(max_speed) && total.eval(max_speed) < work)
     return std::nullopt;

@@ -55,13 +55,14 @@ struct Placement {
 
 /// Incremental variant of water_fill over pre-built per-interval insertion
 /// curves (one per window interval, e.g. from core::CurveCache). Inverts
-/// Z(s) through a util::LazyLinearSum view instead of materializing the
-/// summed curve, which drops the per-arrival cost from O(N*W) to
-/// O(N log N) for N total knots over W intervals. Decision-identical to
-/// the stateless reference above (see tests/test_differential.cpp).
+/// Z(s) through a util::LazyLinearSum view, working in `scratch`, instead
+/// of materializing the summed curve, which drops the per-arrival cost from
+/// O(N*W) to O(N log N) for N total knots over W intervals.
+/// Decision-identical to the stateless reference above (see
+/// tests/test_differential.cpp).
 [[nodiscard]] std::optional<Placement> water_fill_over_curves(
     std::span<const util::PiecewiseLinear* const> curves, double work,
-    double max_speed);
+    double max_speed, util::LazyLinearSum::Scratch& scratch);
 
 /// Total work the window can absorb at own-speed exactly `speed`
 /// (the Z(s) above); used by tests and the fractional scheduler's

@@ -9,6 +9,7 @@ void CurveCache::reset() {
   entries_.clear();
   scratch_.clear();
   out_.clear();
+  sum_scratch_ = {};
   stats_ = Stats{};
 }
 
@@ -20,14 +21,16 @@ void CurveCache::on_compacted(
 
 const util::PiecewiseLinear& CurveCache::entry_curve(
     const model::IntervalStore& store, int num_processors,
-    model::IntervalStore::Handle h, double length) {
+    model::IntervalStore::Handle h, double length,
+    chen::CurveScratch& rebuild) {
   Entry& entry = entries_[h];
   if (entry.built && entry.epoch == store.epoch(h) &&
       entry.length == length) {
     ++stats_.hits;
   } else {
-    entry.curve =
-        chen::insertion_curve(store.loads(h), -1, num_processors, length);
+    entry.built = false;  // a throwing rebuild leaves no entry that validates
+    chen::rebuild_insertion_curve(entry.curve, store.loads(h), -1,
+                                  num_processors, length, rebuild);
     entry.epoch = store.epoch(h);
     entry.length = length;
     entry.built = true;
@@ -46,13 +49,13 @@ std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
 
   scratch_.clear();
   out_.clear();
+  // Rebuild buffers for this call only: every stale entry of the window
+  // rebuilds through them, and they are freed on return, so no rebuild
+  // buffer outlives the arrival.
+  chen::CurveScratch rebuild;
   model::IntervalStore::Handle h = store.handle_at(window.first);
   for (std::size_t i = 0; i < window.size(); ++i) {
-    const model::IntervalStore::Handle next = store.next_handle(h);
-    const double length =
-        (next == model::IntervalStore::kNoHandle ? store.back_boundary()
-                                                 : store.start_of(next)) -
-        store.start_of(h);
+    const double length = store.length_of(h);
     if (store.load_of(h, ignore_job) != 0.0) {
       // The excluded job already owns load here (re-placement): this curve
       // is not the all-loads curve, so build it aside and skip the cache.
@@ -65,9 +68,9 @@ std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
       ++stats_.rebuilds;
     } else {
       // ignore_job holds no load here, so the all-loads curve is its curve.
-      out_.push_back(&entry_curve(store, num_processors, h, length));
+      out_.push_back(&entry_curve(store, num_processors, h, length, rebuild));
     }
-    h = next;
+    h = store.next_handle(h);
   }
   return out_;
 }

@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "chen/insertion_curve.hpp"
 #include "model/interval_store.hpp"
 #include "util/piecewise_linear.hpp"
 
@@ -33,7 +34,8 @@ class CurveCache {
     long long rebuilds = 0;  // curves (re)built from interval loads
   };
 
-  /// Drops every cached curve and the statistics.
+  /// Drops every cached curve, the statistics and the sum_scratch()
+  /// buffers.
   void reset();
 
   /// Per-interval insertion curves for `window`, excluding `ignore_job`.
@@ -51,6 +53,12 @@ class CurveCache {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
+  /// Buffers for the util::LazyLinearSum view the caller builds over the
+  /// curves_for result, kept here so a warm arrival allocates none.
+  [[nodiscard]] util::LazyLinearSum::Scratch& sum_scratch() {
+    return sum_scratch_;
+  }
+
   /// Cache-side half of a prefix compaction the owner just ran on the
   /// store: releases the freed handles' cached curves, so a recycled
   /// handle starts from an unbuilt entry.
@@ -65,15 +73,18 @@ class CurveCache {
   };
 
   // The all-loads curve of `h` (of the given length) from its slab entry,
-  // rebuilt when the entry's epoch or length no longer matches the store.
+  // rebuilt in place through `rebuild` when the entry's epoch or length no
+  // longer matches the store.
   const util::PiecewiseLinear& entry_curve(const model::IntervalStore& store,
                                            int num_processors,
                                            model::IntervalStore::Handle h,
-                                           double length);
+                                           double length,
+                                           chen::CurveScratch& rebuild);
 
   std::vector<Entry> entries_;  // slab indexed by store handle
   std::vector<util::PiecewiseLinear> scratch_;  // ignore_job-tainted curves
   std::vector<const util::PiecewiseLinear*> out_;  // curves_for result buffer
+  util::LazyLinearSum::Scratch sum_scratch_;
   Stats stats_;
 };
 

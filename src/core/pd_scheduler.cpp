@@ -5,7 +5,6 @@
 
 #include "chen/interval_schedule.hpp"
 #include "chen/realize.hpp"
-#include "convex/solver.hpp"
 #include "convex/water_fill.hpp"
 #include "core/rejection.hpp"
 #include "model/power.hpp"
@@ -40,17 +39,9 @@ void PdScheduler::compact_before(double frontier) {
   if (store.num_intervals() == 0) return;
   // Fast exit for the common per-tick case: nothing retires.
   if (store.end_of(store.front_handle()) > frontier) return;
-  // Retired prefix energy, accumulated left to right with the same
-  // skip-empty order assignment_energy uses: planned_energy() continuing
-  // from this accumulator reproduces the uncompacted sum bitwise.
-  for (model::IntervalStore::Handle h = store.front_handle();
-       h != model::IntervalStore::kNoHandle && store.end_of(h) <= frontier;
-       h = store.next_handle(h)) {
-    if (store.loads(h).empty()) continue;
-    retired_energy_ +=
-        chen::interval_energy(store.loads(h), machine_.num_processors,
-                              store.length_of(h), machine_.alpha);
-  }
+  // planned_energy() continues from this accumulator in the same order, so
+  // it reproduces the uncompacted sum bitwise.
+  retired_energy_ = energy_through(frontier, retired_energy_);
   freed_scratch_.clear();
   const std::size_t retired = store.compact_before(frontier, freed_scratch_);
   if (retired == 0) return;
@@ -94,7 +85,8 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   const auto curves =
       cache_.curves_for(state_.store, machine_.num_processors, window, job.id);
   const auto placement =
-      convex::water_fill_over_curves(curves, job.work, s_reject);
+      convex::water_fill_over_curves(curves, job.work, s_reject,
+                                     cache_.sum_scratch());
 
   ArrivalDecision decision;
   if (placement.has_value()) {
@@ -129,13 +121,23 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   return decision;
 }
 
+double PdScheduler::energy_through(double frontier, double energy) const {
+  // Left to right, skipping empty intervals, with the lengths and load
+  // lists the contiguous snapshot would hold: convex::assignment_energy's
+  // exact summation, without materializing the snapshot.
+  const model::IntervalStore& store = state_.store;
+  for (model::IntervalStore::Handle h = store.front_handle();
+       h != model::IntervalStore::kNoHandle && store.end_of(h) <= frontier;
+       h = store.next_handle(h)) {
+    if (store.loads(h).empty()) continue;
+    energy += chen::interval_energy(store.loads(h), machine_.num_processors,
+                                    store.length_of(h), machine_.alpha);
+  }
+  return energy;
+}
+
 double PdScheduler::planned_energy() const {
-  // Cold path: materialize once and reuse the contiguous evaluator — the
-  // snapshot loads are bitwise-identical to the reference engine's, so the
-  // energy is too.
-  return convex::assignment_energy(
-      state_.store.snapshot_assignment(), state_.store.snapshot_partition(),
-      machine_.num_processors, machine_.alpha, retired_energy_);
+  return energy_through(util::kInf, retired_energy_);
 }
 
 model::Schedule PdScheduler::final_schedule() const {

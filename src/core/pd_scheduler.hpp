@@ -234,6 +234,10 @@ class PdScheduler {
   /// their energy and reclaims their store and cache state.
   void compact_before(double frontier);
 
+  /// `energy` plus the energies of the live non-empty intervals ending at
+  /// or before `frontier`, added front to back (assignment_energy's order).
+  [[nodiscard]] double energy_through(double frontier, double energy) const;
+
   model::Machine machine_;
   double delta_;
   bool record_decisions_;

@@ -14,7 +14,7 @@ void IntervalStore::clear() {
   lone_boundary_.reset();
 }
 
-void IntervalStore::adopt_payload(Handle h) {
+void IntervalStore::adopt_payload(Handle h, Handle next) {
   if (std::size_t(h) < payload_.size()) {
     // Recycled slot. Its loads were cleared when the old tenant retired;
     // the epoch keeps advancing so no cache entry from a previous tenant
@@ -23,19 +23,22 @@ void IntervalStore::adopt_payload(Handle h) {
   } else {
     payload_.emplace_back();
   }
+  payload_[h].next = next;
 }
 
 std::size_t IntervalStore::compact_before(double frontier,
                                           std::vector<Handle>& freed) {
   std::size_t retired = 0;
-  while (!index_.empty()) {
-    const Handle h = index_.front();
-    if (end_of(h) > frontier) break;
-    payload_[h].loads.clear();
-    ++payload_[h].epoch;
+  Handle h = front_handle();
+  while (h != kNoHandle && end_of(h) <= frontier) {
+    Payload& p = payload_[h];
+    const Handle next = p.next;
+    p.loads.clear();
+    ++p.epoch;
     index_.erase(h);
     freed.push_back(h);
     ++retired;
+    h = next;
   }
   if (retired > 0 && index_.empty()) {
     // Everything retired: the back boundary becomes the bootstrap boundary,
@@ -56,7 +59,7 @@ IntervalStore::Refinement IntervalStore::ensure_boundary(double t) {
     if (*lone_boundary_ == t) return Refinement::kNoop;
     const double lo = std::min(*lone_boundary_, t);
     const double hi = std::max(*lone_boundary_, t);
-    adopt_payload(index_.insert(lo));
+    adopt_payload(index_.insert(lo), kNoHandle);
     end_ = hi;
     lone_boundary_.reset();
     return Refinement::kBootstrap;
@@ -64,14 +67,18 @@ IntervalStore::Refinement IntervalStore::ensure_boundary(double t) {
   if (t == end_) return Refinement::kNoop;
   if (t > end_) {
     // Horizon extension right: new empty interval [old back, t).
-    adopt_payload(index_.insert(end_));
+    const Handle last = index_.back();
+    const Handle h = index_.insert(end_);
+    adopt_payload(h, kNoHandle);
+    payload_[last].next = h;
     end_ = t;
     return Refinement::kAppend;
   }
   const Handle at = index_.last_leq(t);
   if (at == kNoHandle) {
     // Horizon extension left: new empty interval [t, old front).
-    adopt_payload(index_.insert(t));
+    const Handle first = index_.front();
+    adopt_payload(index_.insert(t), first);
     return Refinement::kPrepend;
   }
   if (index_.key(at) == t) return Refinement::kNoop;
@@ -83,7 +90,8 @@ IntervalStore::Refinement IntervalStore::ensure_boundary(double t) {
   const double hi = end_of(at);
   const double frac = (t - lo) / (hi - lo);
   const Handle right = index_.insert(t);
-  adopt_payload(right);
+  adopt_payload(right, payload_[at].next);
+  payload_[at].next = right;
   Payload& left_payload = payload_[at];
   Payload& right_payload = payload_[right];
   right_payload.loads = left_payload.loads;
@@ -190,7 +198,7 @@ TimePartition IntervalStore::snapshot_partition() const {
   }
   // Ascending inserts append at the vector's back, so the snapshot is
   // O(n) amortized despite going through the one-at-a-time API.
-  for (Handle h = index_.front(); h != kNoHandle; h = index_.next(h))
+  for (Handle h = front_handle(); h != kNoHandle; h = next_handle(h))
     partition.insert_boundary(index_.key(h));
   partition.insert_boundary(end_);
   return partition;
@@ -199,7 +207,7 @@ TimePartition IntervalStore::snapshot_partition() const {
 WorkAssignment IntervalStore::snapshot_assignment() const {
   WorkAssignment assignment(num_intervals());
   std::size_t pos = 0;
-  for (Handle h = index_.front(); h != kNoHandle; h = index_.next(h), ++pos)
+  for (Handle h = front_handle(); h != kNoHandle; h = next_handle(h), ++pos)
     for (const Load& l : payload_[h].loads)
       assignment.set_load(pos, l.job, l.amount);
   return assignment;

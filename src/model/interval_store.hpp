@@ -23,6 +23,10 @@
 //     they shift on refinement exactly as in the contiguous
 //     representation. handle_at / position_of translate in O(log n).
 //
+// Time-order walks do not touch the treap: every interval's payload keeps
+// the handle of its successor, which split / append / prepend / compaction
+// maintain, so next_handle and end_of are O(1) array reads.
+//
 // The arithmetic of a split (the proportional load division) replicates
 // WorkAssignment::split_interval operation for operation, so a scheduler
 // running on this store commits bitwise-identical decisions to one running
@@ -98,16 +102,15 @@ class IntervalStore {
   [[nodiscard]] std::size_t position_of(Handle h) const {
     return index_.rank(h);
   }
-  /// In-order walk; kNoHandle after the last interval. Amortized O(1) per
-  /// step over a window scan.
-  [[nodiscard]] Handle next_handle(Handle h) const { return index_.next(h); }
+  /// In-order walk; kNoHandle after the last interval. O(1).
+  [[nodiscard]] Handle next_handle(Handle h) const { return payload_[h].next; }
   /// First interval in time order, or kNoHandle when there are none.
   [[nodiscard]] Handle front_handle() const {
     return index_.empty() ? kNoHandle : index_.front();
   }
   [[nodiscard]] double start_of(Handle h) const { return index_.key(h); }
   [[nodiscard]] double end_of(Handle h) const {
-    const Handle n = index_.next(h);
+    const Handle n = payload_[h].next;
     return n == kNoHandle ? end_ : index_.key(n);
   }
   [[nodiscard]] double length_of(Handle h) const {
@@ -144,11 +147,13 @@ class IntervalStore {
   struct Payload {
     std::vector<Load> loads;
     std::uint64_t epoch = 0;
+    Handle next = kNoHandle;  // time-order successor
   };
 
   /// Claims the payload slot for a node id just handed out by index_ —
-  /// either a fresh slab slot or a recycled one.
-  void adopt_payload(Handle h);
+  /// either a fresh slab slot or a recycled one — and links it in front of
+  /// `next` in time order (the caller relinks its predecessor).
+  void adopt_payload(Handle h, Handle next);
 
   util::OrderIndex index_;        // keys = interval start times; ids = handles
   std::vector<Payload> payload_;  // indexed by handle

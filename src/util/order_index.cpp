@@ -167,30 +167,6 @@ std::size_t OrderIndex::rank(NodeId id) const {
   return r;
 }
 
-OrderIndex::NodeId OrderIndex::next(NodeId id) const {
-  if (nodes_[id].right != kNull) {
-    NodeId cur = nodes_[id].right;
-    while (nodes_[cur].left != kNull) cur = nodes_[cur].left;
-    return cur;
-  }
-  NodeId cur = id;
-  while (nodes_[cur].parent != kNull && nodes_[nodes_[cur].parent].right == cur)
-    cur = nodes_[cur].parent;
-  return nodes_[cur].parent;
-}
-
-OrderIndex::NodeId OrderIndex::prev(NodeId id) const {
-  if (nodes_[id].left != kNull) {
-    NodeId cur = nodes_[id].left;
-    while (nodes_[cur].right != kNull) cur = nodes_[cur].right;
-    return cur;
-  }
-  NodeId cur = id;
-  while (nodes_[cur].parent != kNull && nodes_[nodes_[cur].parent].left == cur)
-    cur = nodes_[cur].parent;
-  return nodes_[cur].parent;
-}
-
 OrderIndex::NodeId OrderIndex::front() const {
   if (root_ == kNull) return kNull;
   NodeId cur = root_;

@@ -12,8 +12,6 @@
 //   insert            O(log n) expected   new key anywhere in the order
 //   find / last_leq   O(log n)            exact lookup / predecessor
 //   select / rank     O(log n)            position <-> node translation
-//   next / prev       O(log n) worst,     in-order neighbours; amortized
-//                                         O(1) over a full in-order scan
 //   front / back      O(log n)
 //   erase             O(log n) expected   retire a key; its id is recycled
 //
@@ -79,10 +77,6 @@ class OrderIndex {
 
   /// Number of keys strictly smaller than the node's key.
   [[nodiscard]] std::size_t rank(NodeId id) const;
-
-  /// In-order successor / predecessor, or kNull at the ends.
-  [[nodiscard]] NodeId next(NodeId id) const;
-  [[nodiscard]] NodeId prev(NodeId id) const;
 
   /// Smallest / largest key's node, or kNull when empty.
   [[nodiscard]] NodeId front() const;

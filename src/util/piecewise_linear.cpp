@@ -10,15 +10,22 @@ namespace pss::util {
 
 PiecewiseLinear PiecewiseLinear::from_knots(std::vector<Knot> knots,
                                             double final_slope) {
+  PiecewiseLinear f;
+  f.assign(knots, final_slope);
+  return f;
+}
+
+void PiecewiseLinear::assign(std::span<const Knot> knots,
+                             double final_slope) {
   PSS_REQUIRE(!knots.empty(), "piecewise-linear function needs >= 1 knot");
   PSS_REQUIRE(final_slope >= 0.0, "final slope must be nonnegative");
-  PiecewiseLinear f;
-  f.final_slope_ = final_slope;
-  f.knots_.reserve(knots.size());
+  final_slope_ = final_slope;
+  knots_.clear();
+  knots_.reserve(knots.size());  // exact: a no-op unless it must grow
   for (const Knot& k : knots) {
     PSS_REQUIRE(std::isfinite(k.x) && std::isfinite(k.y), "knot not finite");
-    if (!f.knots_.empty()) {
-      Knot& prev = f.knots_.back();
+    if (!knots_.empty()) {
+      Knot& prev = knots_.back();
       PSS_REQUIRE(k.x >= prev.x, "knots must be sorted by x");
       if (k.x == prev.x) {  // merge duplicate x, keep the later y
         prev.y = std::max(prev.y, k.y);
@@ -28,12 +35,11 @@ PiecewiseLinear PiecewiseLinear::from_knots(std::vector<Knot> knots,
       const double dip = prev.y - k.y;
       PSS_REQUIRE(dip <= 1e-9 * std::max(1.0, std::abs(prev.y)),
                   "knots must be nondecreasing in y");
-      f.knots_.push_back({k.x, std::max(k.y, prev.y)});
+      knots_.push_back({k.x, std::max(k.y, prev.y)});
       continue;
     }
-    f.knots_.push_back(k);
+    knots_.push_back(k);
   }
-  return f;
 }
 
 PiecewiseLinear PiecewiseLinear::zero() {
@@ -45,20 +51,44 @@ double PiecewiseLinear::domain_start() const {
   return knots_.front().x;
 }
 
+std::size_t PiecewiseLinear::upper_index(double x) const {
+  return std::size_t(std::upper_bound(
+                         knots_.begin(), knots_.end(), x,
+                         [](double v, const Knot& k) { return v < k.x; }) -
+                     knots_.begin());
+}
+
+double PiecewiseLinear::interpolate(std::size_t i, double x) const {
+  const Knot& hi = knots_[i];
+  const Knot& lo = knots_[i - 1];
+  const double t = (x - lo.x) / (hi.x - lo.x);
+  return lo.y + t * (hi.y - lo.y);
+}
+
 double PiecewiseLinear::eval(double x) const {
   PSS_REQUIRE(!knots_.empty(), "empty function");
   PSS_REQUIRE(x >= knots_.front().x - 1e-12, "x below domain start");
   if (x <= knots_.front().x) return knots_.front().y;
   if (x >= knots_.back().x)
     return knots_.back().y + final_slope_ * (x - knots_.back().x);
-  // Find the segment [it-1, it) containing x.
-  auto it = std::upper_bound(
-      knots_.begin(), knots_.end(), x,
-      [](double v, const Knot& k) { return v < k.x; });
-  const Knot& hi = *it;
-  const Knot& lo = *(it - 1);
-  const double t = (x - lo.x) / (hi.x - lo.x);
-  return lo.y + t * (hi.y - lo.y);
+  return interpolate(upper_index(x), x);
+}
+
+double PiecewiseLinear::eval(double x, std::size_t hint) const {
+  PSS_REQUIRE(!knots_.empty(), "empty function");
+  PSS_REQUIRE(x >= knots_.front().x - 1e-12, "x below domain start");
+  if (x <= knots_.front().x) return knots_.front().y;
+  if (x >= knots_.back().x)
+    return knots_.back().y + final_slope_ * (x - knots_.back().x);
+  // x is strictly inside the knot range, so upper_index(x) is some i in
+  // [1, size) with knots_[i - 1].x <= x < knots_[i].x.
+  const auto holds = [&](std::size_t i) {
+    return i >= 1 && i < knots_.size() && knots_[i - 1].x <= x &&
+           x < knots_[i].x;
+  };
+  if (holds(hint)) return interpolate(hint, x);
+  if (holds(hint + 1)) return interpolate(hint + 1, x);
+  return interpolate(upper_index(x), x);
 }
 
 std::optional<double> PiecewiseLinear::first_at_least(double y) const {
@@ -79,19 +109,27 @@ std::optional<double> PiecewiseLinear::first_at_least(double y) const {
   return knots_.back().x + (y - knots_.back().y) / final_slope_;
 }
 
-LazyLinearSum::LazyLinearSum(std::span<const PiecewiseLinear* const> fns)
-    : fns_(fns) {
+LazyLinearSum::LazyLinearSum(std::span<const PiecewiseLinear* const> fns,
+                             Scratch& scratch)
+    : fns_(fns), scratch_(scratch) {
   PSS_REQUIRE(!fns.empty(), "sum of zero functions");
   front_ = fns.front() ? fns.front()->domain_start() : 0.0;
-  scratch_.reserve(fns.size());
   for (const PiecewiseLinear* f : fns) {
     PSS_REQUIRE(f != nullptr && !f->empty(), "summand is empty");
     PSS_REQUIRE(f->domain_start() == front_,
                 "summands must share a domain start");
     back_ = std::max(back_, f->knots().back().x);
-    scratch_.push_back(f->final_slope());
   }
-  final_slope_ = pairwise_sum(scratch_);
+  // eval is exact for any hint, so values an earlier view left behind are
+  // harmless; bracket() sets the ones the bracket-end sums use.
+  scratch_.hints.resize(fns.size());
+}
+
+double LazyLinearSum::final_slope() const {
+  scratch_.terms.clear();
+  for (const PiecewiseLinear* f : fns_)
+    scratch_.terms.push_back(f->final_slope());
+  return pairwise_sum(scratch_.terms);
 }
 
 double LazyLinearSum::sum_at(double x) const {
@@ -99,23 +137,25 @@ double LazyLinearSum::sum_at(double x) const {
   // per-knot order, so the value here is bitwise the y that the
   // materialized total stores (see util/pairwise_sum.hpp for why pairwise
   // is the canonical order).
-  scratch_.clear();
-  for (const PiecewiseLinear* f : fns_) scratch_.push_back(f->eval(x));
-  return pairwise_sum(scratch_);
+  scratch_.terms.clear();
+  for (std::size_t i = 0; i < fns_.size(); ++i)
+    scratch_.terms.push_back(fns_[i]->eval(x, scratch_.hints[i]));
+  return pairwise_sum(scratch_.terms);
 }
 
 LazyLinearSum::Bracket LazyLinearSum::bracket(double x) const {
   // Union predecessor/successor of x via one binary search per summand.
+  // Summand i's upper_index(x) is also its upper_index at b.lo, and at
+  // b.hi it is that or one more: both within eval's O(1) hint reach.
   Bracket b{front_, false, 0.0};
-  for (const PiecewiseLinear* f : fns_) {
-    const auto& knots = f->knots();
-    auto it = std::upper_bound(
-        knots.begin(), knots.end(), x,
-        [](double v, const PiecewiseLinear::Knot& k) { return v < k.x; });
-    if (it != knots.begin()) b.lo = std::max(b.lo, (it - 1)->x);
-    if (it != knots.end() && (!b.has_hi || it->x < b.hi)) {
+  for (std::size_t i = 0; i < fns_.size(); ++i) {
+    const auto& knots = fns_[i]->knots();
+    const std::size_t up = fns_[i]->upper_index(x);
+    scratch_.hints[i] = std::uint32_t(up);
+    if (up != 0) b.lo = std::max(b.lo, knots[up - 1].x);
+    if (up != knots.size() && (!b.has_hi || knots[up].x < b.hi)) {
       b.has_hi = true;
-      b.hi = it->x;
+      b.hi = knots[up].x;
     }
   }
   return b;
@@ -124,7 +164,7 @@ LazyLinearSum::Bracket LazyLinearSum::bracket(double x) const {
 double LazyLinearSum::eval(double x) const {
   PSS_REQUIRE(x >= front_ - 1e-12, "x below domain start");
   if (x <= front_) return sum_at(front_);
-  if (x >= back_) return sum_at(back_) + final_slope_ * (x - back_);
+  if (x >= back_) return sum_at(back_) + final_slope() * (x - back_);
   const Bracket b = bracket(x);  // b.has_hi: x < back_ guarantees a successor
   const double lo_y = sum_at(b.lo);
   const double hi_y = sum_at(b.hi);
@@ -139,8 +179,9 @@ std::optional<double> LazyLinearSum::first_at_least(double y) const {
   double b = back_;
   double sum_b = sum_at(b);
   if (sum_b < y) {
-    if (final_slope_ <= 0.0) return std::nullopt;
-    return back_ + (y - sum_b) / final_slope_;
+    const double slope = final_slope();
+    if (slope <= 0.0) return std::nullopt;
+    return back_ + (y - sum_b) / slope;
   }
   // Invariant: a and b are union knots with sum(a) < y <= sum(b). Bisect on
   // x, snapping each midpoint to its bracketing union knots, until a and b

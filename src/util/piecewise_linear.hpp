@@ -12,6 +12,8 @@
 // knot's x.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -34,11 +36,26 @@ class PiecewiseLinear {
   [[nodiscard]] static PiecewiseLinear from_knots(std::vector<Knot> knots,
                                                   double final_slope);
 
+  /// Rebuilds this function in place from knots, with from_knots'
+  /// preconditions and arithmetic (from_knots is this on a fresh object).
+  /// The knot storage is reused; when it must grow it is reserved to
+  /// exactly knots.size(), so a rebuilt curve holds no doubling slack.
+  void assign(std::span<const Knot> knots, double final_slope);
+
   /// The constant-zero function on [0, inf).
   [[nodiscard]] static PiecewiseLinear zero();
 
   /// Evaluate at x (x must be >= domain start).
   [[nodiscard]] double eval(double x) const;
+
+  /// eval(x), bitwise, with the segment search started at `hint`, a guess
+  /// at upper_index(x). O(1) when the hint is upper_index(x) or one below
+  /// it; any other hint (out of range included) falls back to the binary
+  /// search eval runs.
+  [[nodiscard]] double eval(double x, std::size_t hint) const;
+
+  /// Index of the first knot with knot.x > x (knots().size() if none).
+  [[nodiscard]] std::size_t upper_index(double x) const;
 
   /// Smallest x with f(x) >= y, or nullopt if y is never reached
   /// (possible when the final slope is zero).
@@ -54,6 +71,9 @@ class PiecewiseLinear {
   [[nodiscard]] bool empty() const { return knots_.empty(); }
 
  private:
+  // Linear interpolation on the segment [knots_[i - 1], knots_[i]).
+  [[nodiscard]] double interpolate(std::size_t i, double x) const;
+
   std::vector<Knot> knots_;
   double final_slope_ = 0.0;
 };
@@ -66,7 +86,9 @@ class PiecewiseLinear {
 /// point through per-summand binary searches (O(W log K) each) and invert
 /// the sum by bisection over those brackets, which is all the
 /// water-filling inversion needs — one eval at the speed cap, one monotone
-/// search for the level.
+/// search for the level. The bracket search records each summand's
+/// upper_index, so evaluating the sum at the bracket's ends costs O(1) per
+/// summand rather than another binary search.
 ///
 /// Query arithmetic mirrors sum() followed by eval()/first_at_least() on
 /// the materialized total knot for knot (same summand order, same
@@ -75,10 +97,19 @@ class PiecewiseLinear {
 /// only engages on sub-ulp floating-point dips and is not reproduced here.
 class LazyLinearSum {
  public:
+  /// Per-summand buffers a view works in. A caller that builds one view
+  /// per query (the scheduler, once per arrival) keeps one Scratch and
+  /// hands it to every view, so no query allocates once it is warm.
+  struct Scratch {
+    std::vector<double> terms;       // summand values, pairwise-summed
+    std::vector<std::uint32_t> hints;  // summand upper_index at the bracket
+  };
+
   /// `fns` must be nonempty, all non-null and non-empty, sharing a domain
   /// start (the same preconditions as PiecewiseLinear::sum). The summands
-  /// must outlive the view.
-  explicit LazyLinearSum(std::span<const PiecewiseLinear* const> fns);
+  /// and `scratch` must outlive the view, and `scratch` must serve no other
+  /// live view.
+  LazyLinearSum(std::span<const PiecewiseLinear* const> fns, Scratch& scratch);
 
   /// Sum of the summands at x, interpolated between the union knots
   /// bracketing x exactly as eval() on the materialized total would.
@@ -87,7 +118,9 @@ class LazyLinearSum {
   /// Smallest x with sum(x) >= y, or nullopt if y is never reached.
   [[nodiscard]] std::optional<double> first_at_least(double y) const;
 
-  [[nodiscard]] double final_slope() const { return final_slope_; }
+  /// Summed final slope (pairwise, as sum() computes it). Only queries
+  /// that pass the last union knot need it, so it is computed on demand.
+  [[nodiscard]] double final_slope() const;
 
  private:
   struct Bracket {
@@ -95,17 +128,15 @@ class LazyLinearSum {
     bool has_hi;     // false when x is at or past the last union knot
     double hi;       // smallest union knot > x (when has_hi)
   };
+  // Also leaves each summand's upper_index(x) in scratch_.hints, the hint
+  // sum_at uses at b.lo and b.hi.
   [[nodiscard]] Bracket bracket(double x) const;
   [[nodiscard]] double sum_at(double x) const;
 
   std::span<const PiecewiseLinear* const> fns_;
   double front_ = 0.0;  // shared domain start (first union knot)
   double back_ = 0.0;   // last union knot
-  double final_slope_ = 0.0;
-  // Per-summand term buffer for the canonical pairwise accumulation in
-  // sum_at (mutable: queries are logically const and must not allocate
-  // per call on the hot path).
-  mutable std::vector<double> scratch_;
+  Scratch& scratch_;    // logically const queries work in the caller's buffers
 };
 
 }  // namespace pss::util

@@ -28,7 +28,9 @@
 // core::run_reference_fractional_pd.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -496,6 +498,75 @@ INSTANTIATE_TEST_SUITE_P(
       return "alpha" + std::to_string(int(info.param.alpha * 10)) + "_m" +
              std::to_string(info.param.m);
     });
+
+// ------------------------------------------------ cross-commit bit pin
+//
+// The differential above holds the two engines to each other, so it cannot
+// see a change to a primitive both share (pairwise summation, insertion
+// curves, piecewise-linear evaluation, the interval store). This pin holds
+// the production engine to itself across commits: a seeded stream shaped
+// like the serving benchmark's deep_horizon workload (one stream, 4..12
+// arrivals a tick, one in four a long anchor 50..2000 ticks ahead,
+// compaction every tick) must reproduce the recorded decision counts, the
+// bits of planned_energy() and a digest of every decision's lambda and
+// speed bits. A change that moves any of them must say why and re-record.
+struct BitPin {
+  long long accepted;
+  long long rejected;
+  std::uint64_t energy_bits;
+  std::uint64_t decision_digest;
+};
+
+BitPin run_deep_horizon_shaped(Machine machine, std::uint64_t seed) {
+  util::Rng rng(seed);
+  PdScheduler scheduler(machine);
+  model::JobId next_id = 0;
+  for (int t = 0; next_id < 2000; ++t) {
+    scheduler.advance_to(t, /*compact=*/true);
+    const auto n = rng.uniform_int(4, 12);
+    for (std::int64_t j = 0; j < n; ++j) {
+      const bool anchor = rng.uniform(0.0, 1.0) < 0.25;
+      model::Job job;
+      job.id = next_id++;
+      job.release = t;
+      job.deadline =
+          t + (anchor ? rng.uniform(50.0, 2000.0) : rng.uniform(1.0, 8.0));
+      job.work = rng.uniform(0.3, 2.0);
+      job.value = workload::energy_fair_value(job, machine.alpha) *
+                  rng.uniform(0.5, 4.0);
+      (void)scheduler.on_arrival(job);
+    }
+  }
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  for (const auto& [id, d] : scheduler.decisions()) {
+    for (const double x : {d.lambda, d.speed}) {
+      digest ^= std::bit_cast<std::uint64_t>(x);
+      digest *= 0x100000001b3ull;
+    }
+  }
+  return {scheduler.counters().accepted, scheduler.counters().rejected,
+          std::bit_cast<std::uint64_t>(scheduler.planned_energy()), digest};
+}
+
+void expect_pinned(const BitPin& got, const BitPin& want) {
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.rejected, want.rejected);
+  EXPECT_EQ(got.energy_bits, want.energy_bits)
+      << std::hex << "0x" << got.energy_bits;
+  EXPECT_EQ(got.decision_digest, want.decision_digest)
+      << std::hex << "0x" << got.decision_digest;
+}
+
+TEST(BitPin, DeepHorizonShapedStreamSingleProcessor) {
+  // The serving benchmark's machine (stream::EngineOptions' default).
+  expect_pinned(run_deep_horizon_shaped(Machine{1, 2.0}, 7),
+                {284, 1721, 0x40878e4458b54da1ull, 0x39db106049a04e5eull});
+}
+
+TEST(BitPin, DeepHorizonShapedStreamFourProcessors) {
+  expect_pinned(run_deep_horizon_shaped(Machine{4, 3.0}, 11),
+                {873, 1128, 0x409af919b86c9fcbull, 0x30c08148198c44dbull});
+}
 
 }  // namespace
 }  // namespace pss

@@ -6,11 +6,13 @@
 //   * horizon extension to the right (t > hi appends intervals),
 //   * the prepend path (t < lo in ensure_boundary, reachable through the
 //     1e-12 release-order tolerance and by driving OnlineState directly).
-// Plus direct unit tests of CurveCache epoch/handle validation, and of
-// LazyLinearSum against the materialized sum.
+// Plus direct unit tests of CurveCache epoch/handle validation, of in-place
+// curve rebuilds, and of LazyLinearSum against the materialized sum.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "chen/insertion_curve.hpp"
@@ -257,6 +259,45 @@ TEST(CurveCache, IgnoreJobLoadBypassesCache) {
   EXPECT_EQ(all[0]->eval(1.0), expected_all.eval(1.0));
 }
 
+// The same curve, bit for bit: knots and final slope.
+void expect_same_curve(const util::PiecewiseLinear& got,
+                       const util::PiecewiseLinear& want) {
+  ASSERT_EQ(got.knots().size(), want.knots().size());
+  for (std::size_t i = 0; i < want.knots().size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.knots()[i].x),
+              std::bit_cast<std::uint64_t>(want.knots()[i].x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.knots()[i].y),
+              std::bit_cast<std::uint64_t>(want.knots()[i].y));
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.final_slope()),
+            std::bit_cast<std::uint64_t>(want.final_slope()));
+}
+
+TEST(CurveCache, InPlaceRebuildMatchesFreshBuild) {
+  util::Rng rng(808);
+  chen::CurveScratch scratch;
+  for (const int m : {1, 3}) {
+    util::PiecewiseLinear curve;
+    // Load counts that alternately shrink and grow the curve's knot count.
+    for (const int p : {8, 2, 0, 12, 5, 20, 1}) {
+      std::vector<model::Load> loads;
+      for (int j = 0; j < p; ++j)
+        loads.push_back({j, rng.bernoulli(0.2) ? 1.5 : rng.uniform(0.05, 4.0)});
+      const model::JobId ignore = p > 0 && rng.bernoulli(0.5) ? 0 : -1;
+      const double length = rng.uniform(0.2, 3.0);
+      const std::size_t before = curve.knots().capacity();
+      chen::rebuild_insertion_curve(curve, loads, ignore, m, length, scratch);
+      const auto fresh = chen::insertion_curve(loads, ignore, m, length);
+      SCOPED_TRACE(testing::Message() << "m " << m << " loads " << p);
+      expect_same_curve(curve, fresh);
+      if (fresh.knots().size() > before)
+        EXPECT_EQ(curve.knots().capacity(), curve.knots().size());
+      else
+        EXPECT_EQ(curve.knots().capacity(), before);
+    }
+  }
+}
+
 // --------------------------------------------- LazyLinearSum vs materialized
 
 TEST(LazyLinearSum, MatchesMaterializedSumEverywhere) {
@@ -275,7 +316,8 @@ TEST(LazyLinearSum, MatchesMaterializedSumEverywhere) {
     const auto total = util::PiecewiseLinear::sum(curves);
     std::vector<const util::PiecewiseLinear*> ptrs;
     for (const auto& c : curves) ptrs.push_back(&c);
-    const util::LazyLinearSum lazy(ptrs);
+    util::LazyLinearSum::Scratch scratch;
+    const util::LazyLinearSum lazy(ptrs, scratch);
 
     EXPECT_EQ(lazy.final_slope(), total.final_slope());
     for (int probe = 0; probe < 50; ++probe) {
@@ -320,7 +362,8 @@ TEST(LazyLinearSum, MatchesReferenceWaterFill) {
         store.set_load(store.handle_at(k), load.job, load.amount);
     CurveCache cache;
     const auto curves = cache.curves_for(store, m, window, 7);
-    const auto fast = convex::water_fill_over_curves(curves, work, cap);
+    const auto fast =
+        convex::water_fill_over_curves(curves, work, cap, cache.sum_scratch());
 
     ASSERT_EQ(reference.has_value(), fast.has_value()) << "trial " << trial;
     if (!reference.has_value()) continue;

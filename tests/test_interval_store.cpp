@@ -2,10 +2,11 @@
 //
 // Three layers of coverage:
 //   * util::OrderIndex against a sorted-vector oracle (insert anywhere,
-//     find / last_leq / select / rank / next / prev);
+//     find / last_leq / select / rank / front / back);
 //   * model::IntervalStore semantics: bootstrap below two boundaries,
-//     split / append / prepend refinements, stable handles, epochs, and
-//     snapshot materialization — core::OnlineState cross-checked against
+//     split / append / prepend refinements, stable handles, epochs, the
+//     time-order successor chain (also across a checkpoint round trip),
+//     and snapshot materialization — core::OnlineState cross-checked against
 //     the contiguous TimePartition + WorkAssignment pair refined by the
 //     reference core::refine_partition (including a prepend-heavy stream
 //     the arrival-ordered schedulers can never produce);
@@ -14,12 +15,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <sstream>
 #include <vector>
 
 #include "core/online_state.hpp"
 #include "core/pd_scheduler.hpp"
 #include "core/reference_pd.hpp"
+#include "io/state_io.hpp"
 #include "model/interval_store.hpp"
 #include "util/order_index.hpp"
 #include "util/random.hpp"
@@ -52,16 +56,9 @@ TEST(OrderIndex, InsertAnywhereKeepsOrderStatistics) {
     EXPECT_EQ(index.key(id), oracle[pos]);
     EXPECT_EQ(index.rank(id), pos);
   }
-  // In-order walk matches the oracle in both directions.
-  std::size_t pos = 0;
-  for (OrderIndex::NodeId id = index.front(); id != OrderIndex::kNull;
-       id = index.next(id), ++pos)
-    ASSERT_EQ(index.key(id), oracle[pos]);
-  EXPECT_EQ(pos, oracle.size());
-  for (OrderIndex::NodeId id = index.back(); id != OrderIndex::kNull;
-       id = index.prev(id))
-    ASSERT_EQ(index.key(id), oracle[--pos]);
-  EXPECT_EQ(pos, 0u);
+  // The select walk above covers every position; the ends agree with it.
+  EXPECT_EQ(index.front(), index.select(0));
+  EXPECT_EQ(index.back(), index.select(oracle.size() - 1));
 }
 
 TEST(OrderIndex, FindAndPredecessorQueries) {
@@ -481,6 +478,124 @@ TEST(OnlineStateBackends, EnsureBoundaryBootstrap) {
   step(5.0, 0, 0);  // duplicate of the lone boundary
   step(9.0, 1, 0);  // second boundary: first interval
   step(7.0, 2, 1);  // now a genuine split
+}
+
+// --------------------------------------------------- successor threading
+
+// The store's time-order successor chain against the treap's order
+// statistics: front_handle / next_handle visit exactly select(0..n-1), and
+// every end_of is the next interval's start (the back boundary for the
+// last interval).
+void expect_successor_chain(const IntervalStore& store) {
+  const std::size_t n = store.num_intervals();
+  IntervalStore::Handle h = store.front_handle();
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    ASSERT_EQ(h, store.handle_at(pos)) << "position " << pos;
+    const double next_start = pos + 1 < n
+                                  ? store.start_of(store.handle_at(pos + 1))
+                                  : store.back_boundary();
+    ASSERT_EQ(store.end_of(h), next_start) << "position " << pos;
+    h = store.next_handle(h);
+  }
+  ASSERT_EQ(h, IntervalStore::kNoHandle);
+}
+
+TEST(IntervalStore, SuccessorChainSurvivesRandomRefinementAndCompaction) {
+  util::Rng rng(515);
+  IntervalStore store;
+  std::vector<IntervalStore::Handle> freed;
+  int splits = 0, appends = 0, prepends = 0, empties = 0, clears = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const double u = rng.uniform(0.0, 1.0);
+    if (u < 0.02) {
+      store.clear();
+      ++clears;
+    } else if (u < 0.12 && store.num_intervals() > 0) {
+      // Compact a prefix; one time in five past the back, to empty.
+      const double lo = store.front_boundary();
+      const double hi = store.back_boundary();
+      const double frontier = rng.bernoulli(0.2) ? hi + 1.0
+                                                 : rng.uniform(lo, hi);
+      freed.clear();
+      (void)store.compact_before(frontier, freed);
+      if (store.num_intervals() == 0) ++empties;
+    } else {
+      // A boundary inside, past the back, or before the front.
+      double t = rng.uniform(0.0, 100.0);
+      if (store.num_boundaries() >= 1) {
+        const double lo = store.front_boundary();
+        const double hi = store.back_boundary();
+        const double v = rng.uniform(0.0, 1.0);
+        t = v < 0.6 ? rng.uniform(lo, hi)
+            : v < 0.85 ? hi + rng.uniform(0.1, 5.0)
+                       : lo - rng.uniform(0.1, 5.0);
+      }
+      switch (store.ensure_boundary(t)) {
+        case IntervalStore::Refinement::kSplit: ++splits; break;
+        case IntervalStore::Refinement::kAppend: ++appends; break;
+        case IntervalStore::Refinement::kPrepend: ++prepends; break;
+        default: break;
+      }
+      // Give a random interval a load so splits divide real work.
+      if (store.num_intervals() > 0 && rng.bernoulli(0.3)) {
+        const auto pos = std::size_t(
+            rng.uniform_int(0, std::int64_t(store.num_intervals()) - 1));
+        store.set_load(store.handle_at(pos), step, rng.uniform(0.1, 2.0));
+      }
+    }
+    expect_successor_chain(store);
+    if (HasFatalFailure()) FAIL() << "after step " << step;
+  }
+  // Every mutation kind was exercised, including regrowth after emptying.
+  EXPECT_GT(splits, 100);
+  EXPECT_GT(appends, 100);
+  EXPECT_GT(prepends, 50);
+  EXPECT_GT(empties, 5);
+  EXPECT_GT(clears, 20);
+}
+
+TEST(IntervalStore, SuccessorChainAfterCheckpointRoundTrip) {
+  // The store inside a scheduler is private, so the restored chain is
+  // checked through what walks it: the partition snapshot, planned_energy
+  // (front to back through end_of) and further compacting arrivals, all
+  // bitwise against the scheduler that was never saved.
+  util::Rng rng(77);
+  const model::Machine machine{2, 2.5};
+  core::PdScheduler original(machine);
+  core::PdScheduler restored(machine);
+  model::JobId id = 0;
+  const auto feed = [&](core::PdScheduler& a, core::PdScheduler* b, int t) {
+    a.advance_to(t, /*compact=*/true);
+    if (b) b->advance_to(t, /*compact=*/true);
+    for (int j = 0; j < 5; ++j) {
+      model::Job job{id++, double(t), t + rng.uniform(0.5, 40.0),
+                     rng.uniform(0.2, 2.0), rng.uniform(0.5, 20.0)};
+      const auto x = a.on_arrival(job);
+      if (b) {
+        const auto y = b->on_arrival(job);
+        ASSERT_EQ(x.accepted, y.accepted);
+        ASSERT_EQ(x.speed, y.speed);
+        ASSERT_EQ(x.lambda, y.lambda);
+      }
+    }
+  };
+  for (int t = 0; t < 60; ++t) feed(original, nullptr, t);
+  std::stringstream blob;
+  io::save_scheduler(blob, original);
+  io::load_scheduler(blob, restored);
+  const auto check = [&] {
+    EXPECT_EQ(restored.partition().boundaries(),
+              original.partition().boundaries());
+    EXPECT_EQ(restored.live_intervals(), original.live_intervals());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(restored.planned_energy()),
+              std::bit_cast<std::uint64_t>(original.planned_energy()));
+  };
+  check();
+  for (int t = 60; t < 120; ++t) {
+    feed(original, &restored, t);
+    if (HasFatalFailure()) return;
+  }
+  check();
 }
 
 // ------------------------------------------------- PdScheduler integration

@@ -1,14 +1,21 @@
-// Unit tests for src/util: piecewise-linear algebra, math helpers,
-// parallelism, tables, RNG determinism.
+// Unit tests for src/util: piecewise-linear algebra, canonical pairwise
+// summation, math helpers, parallelism, tables, RNG determinism.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/math.hpp"
+#include "util/pairwise_sum.hpp"
 #include "util/parallel.hpp"
 #include "util/piecewise_linear.hpp"
 #include "util/random.hpp"
@@ -146,6 +153,108 @@ TEST(PiecewiseLinear, InverseRoundTripsRandomized) {
         EXPECT_LT(f.eval(*inv - 1e-6) - 1e-9, target);
       }
     }
+  }
+}
+
+// Bitwise equality that also tells -0.0 from 0.0.
+void expect_same_bits(double got, double want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+      << got << " vs " << want;
+}
+
+std::vector<PiecewiseLinear::Knot> random_knots(util::Rng& rng, int n) {
+  std::vector<PiecewiseLinear::Knot> knots{{0.0, 0.0}};
+  double x = 0.0, y = 0.0;
+  for (int i = 1; i < n; ++i) {
+    x += rng.uniform(0.05, 2.0);
+    y += rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 3.0);  // some flats
+    knots.push_back({x, y});
+  }
+  return knots;
+}
+
+TEST(PiecewiseLinear, HintedEvalMatchesEvalForEveryHint) {
+  util::Rng rng(31);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = int(rng.uniform_int(1, 9));
+    const auto f =
+        PiecewiseLinear::from_knots(random_knots(rng, n), rng.uniform(0.0, 2.0));
+    const auto& k = f.knots();
+    // Probes: every knot, every midpoint, the front, and beyond the back.
+    std::vector<double> xs{k.front().x, k.back().x + 0.5, k.back().x + 1e6};
+    for (std::size_t i = 0; i < k.size(); ++i) {
+      xs.push_back(k[i].x);
+      if (i + 1 < k.size()) xs.push_back(0.5 * (k[i].x + k[i + 1].x));
+    }
+    // Hints: every index, one and two past the end, and far out of range.
+    std::vector<std::size_t> hints{std::numeric_limits<std::size_t>::max(),
+                                   std::numeric_limits<std::size_t>::max() - 1};
+    for (std::size_t h = 0; h <= k.size() + 2; ++h) hints.push_back(h);
+    for (const double x : xs)
+      for (const std::size_t hint : hints) {
+        SCOPED_TRACE(testing::Message() << "trial " << trial << " x " << x
+                                        << " hint " << hint);
+        expect_same_bits(f.eval(x, hint), f.eval(x));
+      }
+  }
+}
+
+TEST(PiecewiseLinear, UpperIndexIsFirstKnotPastX) {
+  const auto f = PiecewiseLinear::from_knots(
+      {{0.0, 0.0}, {1.0, 1.0}, {2.0, 3.0}}, 1.0);
+  EXPECT_EQ(f.upper_index(0.0), 1u);
+  EXPECT_EQ(f.upper_index(0.5), 1u);
+  EXPECT_EQ(f.upper_index(1.0), 2u);
+  EXPECT_EQ(f.upper_index(2.0), 3u);
+  EXPECT_EQ(f.upper_index(9.0), 3u);
+}
+
+TEST(PiecewiseLinear, AssignInPlaceMatchesFromKnots) {
+  util::Rng rng(57);
+  PiecewiseLinear f = PiecewiseLinear::from_knots(random_knots(rng, 6), 1.0);
+  // Grow (more knots than f holds), shrink, and grow again: each result
+  // equals a fresh build bit for bit.
+  for (const int n : {11, 3, 1, 17, 5}) {
+    const auto knots = random_knots(rng, n);
+    const double slope = rng.uniform(0.0, 2.0);
+    const std::size_t before = f.knots().capacity();
+    f.assign(knots, slope);
+    const auto fresh = PiecewiseLinear::from_knots(knots, slope);
+    ASSERT_EQ(f.knots().size(), fresh.knots().size());
+    for (std::size_t i = 0; i < fresh.knots().size(); ++i) {
+      expect_same_bits(f.knots()[i].x, fresh.knots()[i].x);
+      expect_same_bits(f.knots()[i].y, fresh.knots()[i].y);
+    }
+    expect_same_bits(f.final_slope(), fresh.final_slope());
+    if (std::size_t(n) > before)
+      EXPECT_EQ(f.knots().capacity(), std::size_t(n)) << "exact growth";
+    else
+      EXPECT_EQ(f.knots().capacity(), before) << "storage reused";
+  }
+}
+
+// ---------------------------------------------------------- pairwise sum
+
+// The canonical tree of util/pairwise_sum.hpp, recursed all the way down.
+double pairwise_oracle(std::span<const double> xs) {
+  if (xs.empty()) return 0.0;
+  if (xs.size() == 1) return xs[0];
+  const std::size_t h = xs.size() / 2;
+  return pairwise_oracle(xs.first(h)) + pairwise_oracle(xs.subspan(h));
+}
+
+TEST(PairwiseSum, MatchesRecursiveOracleForEveryLength) {
+  util::Rng rng(2024);
+  std::vector<double> xs;
+  for (std::size_t n = 0; n <= 1024; ++n) {
+    // Mixed signs and magnitudes spanning 2^-40 .. 2^40, so a different
+    // association changes the rounded result.
+    xs.resize(n);
+    for (double& x : xs)
+      x = (rng.bernoulli(0.5) ? -1.0 : 1.0) *
+          std::ldexp(rng.uniform(1.0, 2.0), int(rng.uniform_int(-40, 40)));
+    SCOPED_TRACE(testing::Message() << "n " << n);
+    expect_same_bits(util::pairwise_sum(xs), pairwise_oracle(xs));
   }
 }
 
