@@ -12,8 +12,9 @@
 //     intervals. This isolates the refinement data structure: per-insert
 //     cost of TimePartition::insert_boundary + WorkAssignment::
 //     split_interval through core::refine_partition (contiguous, O(n)
-//     vector shifting) vs IntervalStore::ensure_boundary (indexed,
-//     O(log n) treap insert). The contiguous representation is capped
+//     vector shifting) vs IntervalStore::ensure_boundary (indexed: an
+//     O(log n) std::map predecessor lookup and insert, O(1) slab and
+//     successor-link updates). The contiguous representation is capped
 //     below the largest size by default — it is quadratic there, which is
 //     the point of the exercise.
 //
@@ -101,7 +102,7 @@ RefinementResult refine_once(bool indexed, std::uint32_t n, int bits) {
   refine(0.0);
   refine(double(n));
   if (indexed)
-    store.set_load(store.handle_at(0), 0, 1000.0);
+    store.set_load(store.front_handle(), 0, 1000.0);
   else
     assignment.set_load(0, 0, 1000.0);
 

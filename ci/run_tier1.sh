@@ -159,18 +159,20 @@ for artifact in bench_results/BENCH_*.json; do
 done
 echo "docs-consistency: OK (all emitted BENCH_*.json schemas documented)"
 
-# Sanitizer pass: the compaction/checkpoint code paths move treap slabs,
-# recycle handles and rebuild state from byte streams — exactly the code
-# where a stale pointer or uninitialised read hides from a plain build.
-# Build a second tree with ASan+UBSan and run the suites that exercise
-# prefix compaction, checkpoint/restore, restore validation of hostile
-# bytes (test_io), the stream engine end to end, and the curve cache's
-# in-place rebuilds and hinted knot walks (test_incremental, test_util).
+# Sanitizer pass: the compaction/checkpoint code paths relink the interval
+# store's payload slab, recycle handles and rebuild state from byte
+# streams — exactly the code where a stale pointer or uninitialised read
+# hides from a plain build. Build a second tree with ASan+UBSan and run the
+# suites that exercise prefix compaction, checkpoint/restore, restore
+# validation of hostile bytes (test_io), the stream engine end to end, the
+# curve cache's in-place rebuilds and hinted knot walks (test_incremental,
+# test_util), and fractional PD on the contiguous representation
+# (test_fractional).
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
-cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_io test_incremental test_util
+cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_io test_incremental test_util test_fractional
 cd "${SAN_DIR}"
 UBSAN_OPTIONS=halt_on_error=1 ./test_compaction > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_stream > /dev/null
@@ -179,7 +181,8 @@ UBSAN_OPTIONS=halt_on_error=1 ./test_recovery > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_io > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_incremental > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_util > /dev/null
-echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/io/incremental/util suites)"
+UBSAN_OPTIONS=halt_on_error=1 ./test_fractional > /dev/null
+echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/io/incremental/util/fractional suites)"
 
 # ThreadSanitizer pass over the concurrent surface: the MPSC rings, the
 # producer handles, the shutdown gate and the engine/ingest suites that

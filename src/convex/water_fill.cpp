@@ -22,30 +22,6 @@ std::vector<double> other_loads(const std::vector<model::Load>& all,
   return loads;
 }
 
-// Window-order walks: call fn(loads, length) for each interval of
-// `window`, with bitwise-identical lengths on both representations. The
-// store walk is O(1) per step after the O(log n) seek.
-template <typename Fn>
-void for_window(const model::WorkAssignment& assignment,
-                const model::TimePartition& partition,
-                model::IntervalRange window, Fn&& fn) {
-  PSS_REQUIRE(window.last <= partition.num_intervals(),
-              "window exceeds partition");
-  for (std::size_t k = window.first; k < window.last; ++k)
-    fn(assignment.loads(k), partition.length(k));
-}
-
-template <typename Fn>
-void for_window(const model::IntervalStore& store, model::IntervalRange window,
-                Fn&& fn) {
-  PSS_REQUIRE(window.last <= store.num_intervals(), "window exceeds store");
-  model::IntervalStore::Handle h = store.handle_at(window.first);
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    fn(store.loads(h), store.length_of(h));
-    h = store.next_handle(h);
-  }
-}
-
 // Shared placement tail of both water-fill entry points. The reference and
 // incremental paths must stay operation-for-operation identical here (dust
 // cutoff, largest-share tie-break, residue absorption) — that is what the
@@ -77,25 +53,28 @@ Placement build_placement(double work, double level, std::size_t num_curves,
   return placement;
 }
 
-// The stateless placement over either representation: every insertion
-// curve of the window rebuilt from its loads in window order, then the
-// materialized sum inverted at `work`.
-template <typename Walk>
-std::optional<Placement> water_fill_window(const Walk& walk,
-                                           model::IntervalRange window,
-                                           int num_processors, double work,
-                                           double max_speed,
-                                           model::JobId ignore_job) {
+}  // namespace
+
+std::optional<Placement> water_fill(const model::WorkAssignment& assignment,
+                                    const model::TimePartition& partition,
+                                    int num_processors,
+                                    model::IntervalRange window, double work,
+                                    double max_speed,
+                                    model::JobId ignore_job) {
   PSS_REQUIRE(window.first < window.last, "empty placement window");
+  PSS_REQUIRE(window.last <= partition.num_intervals(),
+              "window exceeds partition");
   PSS_REQUIRE(work > 0.0, "work must be positive");
   PSS_REQUIRE(max_speed > 0.0, "max speed must be positive");
 
+  // Every insertion curve of the window rebuilt from its loads in window
+  // order, then the materialized sum inverted at `work`.
   std::vector<util::PiecewiseLinear> curves;
   curves.reserve(window.size());
-  walk([&](const std::vector<model::Load>& loads, double length) {
-    curves.push_back(chen::insertion_curve(other_loads(loads, ignore_job),
-                                           num_processors, length));
-  });
+  for (std::size_t k = window.first; k < window.last; ++k)
+    curves.push_back(
+        chen::insertion_curve(other_loads(assignment.loads(k), ignore_job),
+                              num_processors, partition.length(k)));
   const util::PiecewiseLinear total = util::PiecewiseLinear::sum(curves);
 
   if (std::isfinite(max_speed) && total.eval(max_speed) < work)
@@ -109,46 +88,6 @@ std::optional<Placement> water_fill_window(const Walk& walk,
                          [&](std::size_t i) -> const util::PiecewiseLinear& {
                            return curves[i];
                          });
-}
-
-// Capacity over either representation: the per-interval insertion amounts
-// at `speed`, summed in canonical pairwise order.
-template <typename Walk>
-double window_capacity_window(const Walk& walk, model::IntervalRange window,
-                              int num_processors, double speed,
-                              model::JobId ignore_job) {
-  std::vector<double> amounts;
-  amounts.reserve(window.size());
-  walk([&](const std::vector<model::Load>& all, double length) {
-    std::vector<double> loads = other_loads(all, ignore_job);
-    std::sort(loads.begin(), loads.end(), std::greater<>());
-    amounts.push_back(
-        chen::insertion_amount(loads, num_processors, length, speed));
-  });
-  return util::pairwise_sum(amounts);
-}
-
-}  // namespace
-
-std::optional<Placement> water_fill(const model::WorkAssignment& assignment,
-                                    const model::TimePartition& partition,
-                                    int num_processors,
-                                    model::IntervalRange window, double work,
-                                    double max_speed,
-                                    model::JobId ignore_job) {
-  return water_fill_window(
-      [&](auto&& fn) { for_window(assignment, partition, window, fn); },
-      window, num_processors, work, max_speed, ignore_job);
-}
-
-std::optional<Placement> water_fill(const model::IntervalStore& store,
-                                    int num_processors,
-                                    model::IntervalRange window, double work,
-                                    double max_speed,
-                                    model::JobId ignore_job) {
-  return water_fill_window(
-      [&](auto&& fn) { for_window(store, window, fn); }, window,
-      num_processors, work, max_speed, ignore_job);
 }
 
 std::optional<Placement> water_fill_over_curves(
@@ -177,17 +116,19 @@ double window_capacity(const model::WorkAssignment& assignment,
                        const model::TimePartition& partition,
                        int num_processors, model::IntervalRange window,
                        double speed, model::JobId ignore_job) {
-  return window_capacity_window(
-      [&](auto&& fn) { for_window(assignment, partition, window, fn); },
-      window, num_processors, speed, ignore_job);
-}
-
-double window_capacity(const model::IntervalStore& store, int num_processors,
-                       model::IntervalRange window, double speed,
-                       model::JobId ignore_job) {
-  return window_capacity_window(
-      [&](auto&& fn) { for_window(store, window, fn); }, window,
-      num_processors, speed, ignore_job);
+  PSS_REQUIRE(window.last <= partition.num_intervals(),
+              "window exceeds partition");
+  // The per-interval insertion amounts at `speed`, summed in canonical
+  // pairwise order.
+  std::vector<double> amounts;
+  amounts.reserve(window.size());
+  for (std::size_t k = window.first; k < window.last; ++k) {
+    std::vector<double> loads = other_loads(assignment.loads(k), ignore_job);
+    std::sort(loads.begin(), loads.end(), std::greater<>());
+    amounts.push_back(chen::insertion_amount(loads, num_processors,
+                                             partition.length(k), speed));
+  }
+  return util::pairwise_sum(amounts);
 }
 
 }  // namespace pss::convex

@@ -9,7 +9,11 @@
 //
 // This single primitive implements, with different speed caps:
 //   * the greedy variable increase of the PD algorithm (Listing 1), where
-//     the cap is the rejection speed v_j-derived bound, and
+//     the cap is the rejection speed v_j-derived bound — over the contiguous
+//     representation for core::ReferencePd, over cached curves
+//     (water_fill_over_curves) for core::PdScheduler;
+//   * fractional PD's partial service (cap = infinity, after
+//     window_capacity has sized the served amount), and
 //   * the exact per-job block minimization inside the offline convex solver
 //     (cap = infinity).
 #pragma once
@@ -18,7 +22,6 @@
 #include <span>
 #include <vector>
 
-#include "model/interval_store.hpp"
 #include "model/time_partition.hpp"
 #include "model/work_assignment.hpp"
 #include "util/piecewise_linear.hpp"
@@ -43,16 +46,6 @@ struct Placement {
     model::IntervalRange window, double work, double max_speed,
     model::JobId ignore_job = -1);
 
-/// Same placement over the indexed interval store (the fractional
-/// scheduler's placement). Only the window walk differs from the
-/// contiguous overload — per-interval curves are built in window order from
-/// the identical load lists, then the materialized curve sum is inverted —
-/// so the two representations stay bitwise decision-identical.
-[[nodiscard]] std::optional<Placement> water_fill(
-    const model::IntervalStore& store, int num_processors,
-    model::IntervalRange window, double work, double max_speed,
-    model::JobId ignore_job = -1);
-
 /// Incremental variant of water_fill over pre-built per-interval insertion
 /// curves (one per window interval, e.g. from core::CurveCache). Inverts
 /// Z(s) through a util::LazyLinearSum view, working in `scratch`, instead
@@ -69,13 +62,6 @@ struct Placement {
 /// service cap.
 [[nodiscard]] double window_capacity(const model::WorkAssignment& assignment,
                                      const model::TimePartition& partition,
-                                     int num_processors,
-                                     model::IntervalRange window, double speed,
-                                     model::JobId ignore_job = -1);
-
-/// Capacity over the indexed interval store; bitwise-identical summation
-/// order to the contiguous overload.
-[[nodiscard]] double window_capacity(const model::IntervalStore& store,
                                      int num_processors,
                                      model::IntervalRange window, double speed,
                                      model::JobId ignore_job = -1);

@@ -38,18 +38,19 @@ class CurveCache {
   /// buffers.
   void reset();
 
-  /// Per-interval insertion curves for `window`, excluding `ignore_job`.
-  /// Entries whose epoch and length still match the store are served as
-  /// hits; stale entries rebuild and re-cache, so refinements between
-  /// calls need no notification. An interval that currently holds a load
-  /// of `ignore_job` is built into scratch storage and not cached (the
-  /// cached curve must describe all committed loads). The span views a
-  /// reused member buffer — no per-call allocation on the hot path — and
-  /// stays valid until the next call. The slab grows lazily with the
-  /// store's handle space.
+  /// Per-interval insertion curves for the intervals of `window`, in time
+  /// order, for placing the arriving job `job`. Entries whose epoch and
+  /// length still match the store are served as hits; stale entries
+  /// rebuild and re-cache, so refinements between calls need no
+  /// notification. PD never re-places a job, so `job` must hold no load in
+  /// the window (std::invalid_argument otherwise — a repeated job id):
+  /// every cached curve is the all-loads curve. The span views a reused
+  /// member buffer — no per-call allocation on the hot path — and stays
+  /// valid until the next call. The slab grows lazily with the store's
+  /// handle space.
   [[nodiscard]] std::span<const util::PiecewiseLinear* const> curves_for(
       const model::IntervalStore& store, int num_processors,
-      model::IntervalRange window, model::JobId ignore_job = -1);
+      model::IntervalStore::Span window, model::JobId job);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -82,7 +83,6 @@ class CurveCache {
                                            chen::CurveScratch& rebuild);
 
   std::vector<Entry> entries_;  // slab indexed by store handle
-  std::vector<util::PiecewiseLinear> scratch_;  // ignore_job-tainted curves
   std::vector<const util::PiecewiseLinear*> out_;  // curves_for result buffer
   util::LazyLinearSum::Scratch sum_scratch_;
   Stats stats_;

@@ -22,6 +22,11 @@
 // quantifies it. The dual certificate applies unchanged: lambda_j = v_j
 // for every partially served job, so g(lambda~) still lower-bounds the
 // relaxed optimum (in the fractional-value cost model this targets).
+//
+// It runs over the contiguous TimePartition + WorkAssignment pair refined
+// by core::refine_partition, with stateless curves (convex::water_fill,
+// convex::window_capacity): O(n) per refinement, which is nothing at the
+// instance sizes it is run on (bench_tab_rejection uses 40 jobs).
 #pragma once
 
 #include <optional>

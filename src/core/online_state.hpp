@@ -1,14 +1,16 @@
-// Shared online state for arrival-driven schedulers: a time partition that
+// Online state of the production PD scheduler: a time partition that
 // refines as jobs reveal new boundaries, with committed loads splitting
-// proportionally (Section 3, "Concerning the Time Partitioning"). Used by
-// both the integral PD scheduler and the fractional variant.
+// proportionally (Section 3, "Concerning the Time Partitioning"), plus the
+// split / extension counters PdCounters reports.
 //
-// The state lives in model::IntervalStore, an order-statistics indexed
-// store with stable interval handles and O(log n) refinement. Caches keyed
-// by handle need no structural mirroring: a split allocates a fresh handle
-// for the right half and bumps epochs, which the epoch/length validation
-// of CurveCache already detects. The contiguous O(n) transcription of the
-// same refinement lives in core/reference_pd (core::refine_partition).
+// The state lives in model::IntervalStore: stable interval handles, a
+// std::map from interval start to handle, and O(log n) refinement. Caches
+// keyed by handle need no structural mirroring: a split allocates a fresh
+// handle for the right half and bumps epochs, which the epoch/length
+// validation of CurveCache already detects. The contiguous O(n)
+// transcription of the same refinement (core::refine_partition, in
+// core/reference_pd) is the state of core::ReferencePd and of
+// core::run_fractional_pd.
 #pragma once
 
 #include <cstddef>

@@ -77,11 +77,13 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
 
   const double alpha = machine_.alpha;
   const model::PowerFunction power(alpha);
-  const auto window = state_.store.range(job.release, job.deadline);
+  const auto window = state_.store.span(job.release, job.deadline);
   const double s_reject = rejection_speed(job.value, job.work, alpha, delta_);
 
   // Water-fill the job over its window's insertion curves up to the
-  // rejection speed; no placement means the cap was hit first.
+  // rejection speed; no placement means the cap was hit first. A job id
+  // that already holds load in the window is refused here, before any
+  // commit (std::invalid_argument).
   const auto curves =
       cache_.curves_for(state_.store, machine_.num_processors, window, job.id);
   const auto placement =
@@ -91,11 +93,10 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   ArrivalDecision decision;
   if (placement.has_value()) {
     // Line 11(a): full workload placed at uniform own-speed s*.
-    model::IntervalStore::Handle h = state_.store.handle_at(window.first);
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      state_.store.set_load(h, job.id, placement->amounts[i]);
-      h = state_.store.next_handle(h);
-    }
+    std::size_t i = 0;
+    for (model::IntervalStore::Handle h = window.first; h != window.last;
+         h = state_.store.next_handle(h))
+      state_.store.set_load(h, job.id, placement->amounts[i++]);
     const double level = placement->speed;
     decision.accepted = true;
     decision.speed = level;
@@ -116,7 +117,7 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   counters_.curve_cache_rebuilds = cache_.stats().rebuilds;
   counters_.max_intervals =
       std::max(counters_.max_intervals, state_.num_intervals());
-  counters_.max_window = std::max(counters_.max_window, window.size());
+  counters_.max_window = std::max(counters_.max_window, curves.size());
   if (record_decisions_) decisions_.push_back({job.id, decision});
   return decision;
 }

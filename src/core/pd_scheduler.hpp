@@ -160,7 +160,12 @@ class PdScheduler {
  public:
   PdScheduler(model::Machine machine, PdOptions options = {});
 
-  /// Processes one arrival and commits the decision.
+  /// Processes one arrival and commits the decision. Throws
+  /// std::invalid_argument, committing nothing, for a malformed job, a
+  /// release behind the clock, or a job id that already holds load in the
+  /// window (PD never re-places a job). A refused arrival may leave its
+  /// two boundaries in the partition; refinement does not change the
+  /// schedule (Section 3).
   ArrivalDecision on_arrival(const model::Job& job);
 
   /// Advances the release-order monotonicity clock to t without an arrival

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "chen/realize.hpp"
-#include "convex/dual.hpp"
 #include "convex/solver.hpp"
 #include "convex/water_fill.hpp"
 #include "core/rejection.hpp"
@@ -105,62 +104,6 @@ model::Schedule ReferencePd::final_schedule() const {
   for (const auto& [id, decision] : decisions_)
     if (!decision.accepted) schedule.mark_rejected(id);
   return schedule;
-}
-
-FractionalPdResult run_reference_fractional_pd(const model::Instance& instance,
-                                               std::optional<double> delta) {
-  PSS_REQUIRE(instance.num_jobs() > 0, "empty instance");
-  const model::Machine machine = instance.machine();
-  const double alpha = machine.alpha;
-  const double d = delta.value_or(1.0);
-  FractionalPdResult result;
-  result.fraction.assign(instance.num_jobs(), 0.0);
-  result.lambda.assign(instance.num_jobs(), 0.0);
-  model::TimePartition& partition = result.partition;
-  model::WorkAssignment& assignment = result.assignment;
-
-  for (const model::Job& job : instance.jobs_by_release()) {
-    refine_partition(partition, assignment, job.release);
-    refine_partition(partition, assignment, job.deadline);
-    const auto window = partition.job_range(job);
-    const double s_cap = rejection_speed(job.value, job.work, alpha, d);
-    // Serve as much work as the window absorbs below the price v_j.
-    const double capacity =
-        std::isfinite(s_cap)
-            ? convex::window_capacity(assignment, partition,
-                                      machine.num_processors, window, s_cap,
-                                      job.id)
-            : util::kInf;
-    const double target = std::min(job.work, capacity);
-    if (target <= 1e-12 * job.work) {
-      result.lambda[std::size_t(job.id)] = job.value;
-      continue;  // fully unserved
-    }
-    const auto placement =
-        convex::water_fill(assignment, partition, machine.num_processors,
-                           window, target, util::kInf, job.id);
-    PSS_CHECK(placement.has_value(), "fractional placement failed");
-    for (std::size_t i = 0; i < window.size(); ++i)
-      assignment.set_load(window.first + i, job.id, placement->amounts[i]);
-    result.fraction[std::size_t(job.id)] = target / job.work;
-    result.lambda[std::size_t(job.id)] =
-        target < job.work
-            ? job.value
-            : d * job.work *
-                  model::PowerFunction(alpha).derivative(placement->speed);
-  }
-
-  result.schedule = chen::realize_assignment(assignment, partition,
-                                             machine.num_processors);
-  result.energy = convex::assignment_energy(assignment, partition,
-                                            machine.num_processors, alpha);
-  for (const model::Job& job : instance.jobs())
-    if (job.rejectable())
-      result.lost_value +=
-          (1.0 - result.fraction[std::size_t(job.id)]) * job.value;
-  result.dual_lower_bound =
-      convex::dual_value(instance, partition, result.lambda).value;
-  return result;
 }
 
 }  // namespace pss::core

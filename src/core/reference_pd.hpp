@@ -1,7 +1,9 @@
 // Reference PD: a direct transcription of Listing 1 over the contiguous
 // TimePartition + WorkAssignment representation, kept as the bitwise
 // reference the differential suite holds the production engine
-// (core::PdScheduler, core::run_fractional_pd) to.
+// (core::PdScheduler) to. Its Section-3 refinement, refine_partition, is
+// also the state machine of core::run_fractional_pd, which runs on the same
+// contiguous representation.
 //
 // Nothing here is fast on purpose: every arrival refines the partition by
 // O(n) vector shifts (Section 3), rebuilds every insertion curve of its
@@ -16,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/fractional_pd.hpp"
 #include "core/pd_scheduler.hpp"
 #include "model/instance.hpp"
 #include "model/interval_store.hpp"
@@ -68,11 +69,5 @@ class ReferencePd {
   double last_release_ = -1.0;
   bool first_arrival_ = true;
 };
-
-/// Fractional PD over the same reference representation; the bitwise
-/// reference for run_fractional_pd (delta as in FractionalPdOptions).
-[[nodiscard]] FractionalPdResult run_reference_fractional_pd(
-    const model::Instance& instance,
-    std::optional<double> delta = std::nullopt);
 
 }  // namespace pss::core

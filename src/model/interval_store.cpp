@@ -10,39 +10,49 @@ namespace pss::model {
 void IntervalStore::clear() {
   index_.clear();
   payload_.clear();
+  free_.clear();
+  head_ = tail_ = kNoHandle;
   end_ = 0.0;
   lone_boundary_.reset();
 }
 
-void IntervalStore::adopt_payload(Handle h, Handle next) {
-  if (std::size_t(h) < payload_.size()) {
+IntervalStore::Handle IntervalStore::allocate(double start, Handle next) {
+  Handle h;
+  if (!free_.empty()) {
     // Recycled slot. Its loads were cleared when the old tenant retired;
     // the epoch keeps advancing so no cache entry from a previous tenant
     // can ever validate against the new one.
+    h = free_.back();
+    free_.pop_back();
     ++payload_[h].epoch;
   } else {
+    PSS_REQUIRE(payload_.size() < std::size_t(kNoHandle),
+                "interval store full");
+    h = Handle(payload_.size());
     payload_.emplace_back();
   }
+  payload_[h].start = start;
   payload_[h].next = next;
+  return h;
 }
 
 std::size_t IntervalStore::compact_before(double frontier,
                                           std::vector<Handle>& freed) {
   std::size_t retired = 0;
-  Handle h = front_handle();
-  while (h != kNoHandle && end_of(h) <= frontier) {
-    Payload& p = payload_[h];
-    const Handle next = p.next;
+  while (head_ != kNoHandle && end_of(head_) <= frontier) {
+    Payload& p = payload_[head_];
     p.loads.clear();
     ++p.epoch;
-    index_.erase(h);
-    freed.push_back(h);
+    index_.erase(index_.begin());  // the front interval's entry
+    free_.push_back(head_);
+    freed.push_back(head_);
     ++retired;
-    h = next;
+    head_ = p.next;
   }
-  if (retired > 0 && index_.empty()) {
+  if (head_ == kNoHandle && retired > 0) {
     // Everything retired: the back boundary becomes the bootstrap boundary,
     // so the next refinement grows the horizon exactly as it would have.
+    tail_ = kNoHandle;
     lone_boundary_ = end_;
   }
   return retired;
@@ -58,46 +68,50 @@ IntervalStore::Refinement IntervalStore::ensure_boundary(double t) {
     }
     if (*lone_boundary_ == t) return Refinement::kNoop;
     const double lo = std::min(*lone_boundary_, t);
-    const double hi = std::max(*lone_boundary_, t);
-    adopt_payload(index_.insert(lo), kNoHandle);
-    end_ = hi;
+    head_ = tail_ = allocate(lo, kNoHandle);
+    index_.emplace(lo, head_);
+    end_ = std::max(*lone_boundary_, t);
     lone_boundary_.reset();
     return Refinement::kBootstrap;
   }
   if (t == end_) return Refinement::kNoop;
   if (t > end_) {
     // Horizon extension right: new empty interval [old back, t).
-    const Handle last = index_.back();
-    const Handle h = index_.insert(end_);
-    adopt_payload(h, kNoHandle);
-    payload_[last].next = h;
+    const Handle h = allocate(end_, kNoHandle);
+    index_.emplace_hint(index_.end(), end_, h);
+    payload_[tail_].next = h;
+    tail_ = h;
     end_ = t;
     return Refinement::kAppend;
   }
-  const Handle at = index_.last_leq(t);
-  if (at == kNoHandle) {
+  auto it = index_.upper_bound(t);
+  if (it == index_.begin()) {
     // Horizon extension left: new empty interval [t, old front).
-    const Handle first = index_.front();
-    adopt_payload(index_.insert(t), first);
+    head_ = allocate(t, head_);
+    index_.emplace_hint(it, t, head_);
     return Refinement::kPrepend;
   }
-  if (index_.key(at) == t) return Refinement::kNoop;
+  const Handle at = std::prev(it)->second;
+  if (payload_[at].start == t) return Refinement::kNoop;
 
   // Split the interval `at` = [lo, hi) at t. Same arithmetic as the
   // contiguous path: frac from the full interval, loads scaled by frac and
-  // (1 - frac), right half copies the epoch, then both epochs advance.
-  const double lo = index_.key(at);
+  // (1 - frac), right half copies the epoch, then both epochs advance. A
+  // recycled right handle keeps its own epoch if that is larger, so it
+  // still comes back above every epoch of its previous tenant.
+  const double lo = payload_[at].start;
   const double hi = end_of(at);
   const double frac = (t - lo) / (hi - lo);
-  const Handle right = index_.insert(t);
-  adopt_payload(right, payload_[at].next);
+  const Handle right = allocate(t, payload_[at].next);
+  index_.emplace_hint(it, t, right);
   payload_[at].next = right;
+  if (tail_ == at) tail_ = right;
   Payload& left_payload = payload_[at];
   Payload& right_payload = payload_[right];
   right_payload.loads = left_payload.loads;
   for (Load& l : left_payload.loads) l.amount *= frac;
   for (Load& l : right_payload.loads) l.amount *= (1.0 - frac);
-  right_payload.epoch = left_payload.epoch;
+  right_payload.epoch = std::max(right_payload.epoch, left_payload.epoch);
   ++left_payload.epoch;
   ++right_payload.epoch;
   return Refinement::kSplit;
@@ -106,15 +120,13 @@ IntervalStore::Refinement IntervalStore::ensure_boundary(double t) {
 bool IntervalStore::has_boundary(double t) const {
   if (index_.empty())
     return lone_boundary_.has_value() && *lone_boundary_ == t;
-  if (t == end_) return true;
-  const Handle at = index_.find(t);
-  return at != kNoHandle;
+  return t == end_ || index_.contains(t);
 }
 
 double IntervalStore::front_boundary() const {
   PSS_REQUIRE(num_boundaries() >= 1, "store has no boundaries");
   if (index_.empty()) return *lone_boundary_;
-  return index_.key(index_.front());
+  return payload_[head_].start;
 }
 
 double IntervalStore::back_boundary() const {
@@ -123,31 +135,14 @@ double IntervalStore::back_boundary() const {
   return end_;
 }
 
-std::size_t IntervalStore::interval_of(double t) const {
-  PSS_REQUIRE(!index_.empty() && t >= index_.key(index_.front()) && t < end_,
-              "time outside the partition horizon");
-  return index_.rank(index_.last_leq(t));
-}
-
-IntervalRange IntervalStore::range(double t0, double t1) const {
+IntervalStore::Span IntervalStore::span(double t0, double t1) const {
   PSS_REQUIRE(t0 < t1, "empty time range");
-  std::size_t first = 0;
-  std::size_t last = 0;
-  if (t0 == end_) {
-    first = index_.size();
-  } else {
-    const Handle h0 = index_.find(t0);
-    PSS_REQUIRE(h0 != kNoHandle, "range start is not a partition boundary");
-    first = index_.rank(h0);
-  }
-  if (t1 == end_) {
-    last = index_.size();
-  } else {
-    const Handle h1 = index_.find(t1);
-    PSS_REQUIRE(h1 != kNoHandle, "range end is not a partition boundary");
-    last = index_.rank(h1);
-  }
-  return {first, last};
+  const auto first = index_.find(t0);
+  PSS_REQUIRE(first != index_.end(), "span start is not an interval start");
+  if (t1 == end_) return {first->second, kNoHandle};
+  const auto last = index_.find(t1);
+  PSS_REQUIRE(last != index_.end(), "span end is not a partition boundary");
+  return {first->second, last->second};
 }
 
 double IntervalStore::load_of(Handle h, JobId job) const {
@@ -199,7 +194,7 @@ TimePartition IntervalStore::snapshot_partition() const {
   // Ascending inserts append at the vector's back, so the snapshot is
   // O(n) amortized despite going through the one-at-a-time API.
   for (Handle h = front_handle(); h != kNoHandle; h = next_handle(h))
-    partition.insert_boundary(index_.key(h));
+    partition.insert_boundary(start_of(h));
   partition.insert_boundary(end_);
   return partition;
 }

@@ -6,26 +6,20 @@
 // std::vector<double>, and the matching split/prepend shifts a
 // vector-of-vectors of loads plus its epoch array. This store keeps the
 // same state — interval boundaries, per-interval committed loads, and the
-// per-interval epoch counters the curve cache validates against — in one
-// structure indexed by a deterministic order-statistics treap
-// (util::OrderIndex), so insert_boundary / interval_of / range / split /
-// append / prepend are all O(log n).
+// per-interval epoch counters the curve cache validates against — in a
+// payload slab addressed by handle, plus a std::map from interval start to
+// handle, so ensure_boundary and span are O(log n).
 //
-// Handles vs positions. An interval is addressed two ways:
-//   * its Handle — a slab id fixed at creation. Splits, appends and
-//     prepends never renumber existing handles, so anything keyed by
-//     handle (cached insertion curves, most importantly) survives every
-//     refinement untouched: a split allocates one fresh handle for the
-//     right half and bumps the left half's epoch, and that is the entire
-//     invalidation story.
-//   * its position — the 0-based index in time order, the k of the paper's
-//     T_k. Positions are what IntervalRange windows and water-filling use;
-//     they shift on refinement exactly as in the contiguous
-//     representation. handle_at / position_of translate in O(log n).
-//
-// Time-order walks do not touch the treap: every interval's payload keeps
-// the handle of its successor, which split / append / prepend / compaction
-// maintain, so next_handle and end_of are O(1) array reads.
+// Intervals are addressed by Handle only — a slab id fixed at creation.
+// Splits, appends and prepends never renumber existing handles, so
+// anything keyed by handle (cached insertion curves, most importantly)
+// survives every refinement untouched: a split allocates one fresh handle
+// for the right half and bumps the left half's epoch, and that is the
+// entire invalidation story. There are no positions: a placement window is
+// a Span of handles, walked in time order through the successor handle
+// every payload keeps (maintained by split / append / prepend /
+// compaction), so next_handle, start_of and end_of are O(1) array reads.
+// The map is read only to turn a boundary time into a handle.
 //
 // The arithmetic of a split (the proportional load division) replicates
 // WorkAssignment::split_interval operation for operation, so a scheduler
@@ -36,22 +30,30 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <vector>
 
 #include "model/time_partition.hpp"
 #include "model/work_assignment.hpp"
-#include "util/order_index.hpp"
 
 namespace pss::model {
 
 class IntervalStore {
  public:
-  using Handle = util::OrderIndex::NodeId;
-  static constexpr Handle kNoHandle = util::OrderIndex::kNull;
+  using Handle = std::uint32_t;
+  static constexpr Handle kNoHandle = 0xffffffffu;
+
+  /// The intervals of a window [t0, t1) in time order: walk from `first`
+  /// through next_handle until `last` (exclusive; kNoHandle when the window
+  /// runs to the back boundary).
+  struct Span {
+    Handle first = kNoHandle;
+    Handle last = kNoHandle;
+  };
 
   /// What ensure_boundary did, mirroring the cases of the contiguous
-  /// core::OnlineState::ensure_boundary so callers keep identical counters.
+  /// core::refine_partition so callers keep identical counters.
   enum class Refinement {
     kNoop,       // t was already a boundary (or the very first one)
     kBootstrap,  // second distinct boundary: the first interval appeared
@@ -73,14 +75,14 @@ class IntervalStore {
   /// Retires every interval whose end is <= frontier, front to back,
   /// appending the freed handles to `freed`. Freed slots keep a bumped
   /// epoch (a stale cache entry can never validate against them) and their
-  /// handles are recycled by later refinements, so steady-state serving
-  /// holds O(live intervals) slab memory. If everything retires, the back
-  /// boundary survives as the bootstrap boundary, so future refinements
-  /// extend from the old horizon exactly like the uncompacted store.
-  /// Returns the number of intervals retired.
+  /// handles are recycled LIFO by later refinements, so steady-state
+  /// serving holds O(live intervals) slab memory. If everything retires,
+  /// the back boundary survives as the bootstrap boundary, so future
+  /// refinements extend from the old horizon exactly like the uncompacted
+  /// store. Returns the number of intervals retired.
   std::size_t compact_before(double frontier, std::vector<Handle>& freed);
 
-  // -- partition queries (positions, contiguous-compatible semantics) ------
+  // -- partition queries ----------------------------------------------------
   [[nodiscard]] std::size_t num_intervals() const { return index_.size(); }
   [[nodiscard]] std::size_t num_boundaries() const {
     if (!index_.empty()) return index_.size() + 1;
@@ -90,28 +92,18 @@ class IntervalStore {
   /// First / last boundary; require num_boundaries() >= 1.
   [[nodiscard]] double front_boundary() const;
   [[nodiscard]] double back_boundary() const;
-  /// Position of the interval containing t (t in [front, back)).
-  [[nodiscard]] std::size_t interval_of(double t) const;
-  /// Positions covered by [t0, t1); both must be existing boundaries.
-  [[nodiscard]] IntervalRange range(double t0, double t1) const;
+  /// The intervals covering [t0, t1); both must be existing boundaries.
+  [[nodiscard]] Span span(double t0, double t1) const;
 
-  // -- handle <-> position, geometry ---------------------------------------
-  [[nodiscard]] Handle handle_at(std::size_t pos) const {
-    return index_.select(pos);
-  }
-  [[nodiscard]] std::size_t position_of(Handle h) const {
-    return index_.rank(h);
-  }
-  /// In-order walk; kNoHandle after the last interval. O(1).
+  // -- handles, geometry (O(1)) ---------------------------------------------
+  /// In-order walk; kNoHandle after the last interval.
   [[nodiscard]] Handle next_handle(Handle h) const { return payload_[h].next; }
   /// First interval in time order, or kNoHandle when there are none.
-  [[nodiscard]] Handle front_handle() const {
-    return index_.empty() ? kNoHandle : index_.front();
-  }
-  [[nodiscard]] double start_of(Handle h) const { return index_.key(h); }
+  [[nodiscard]] Handle front_handle() const { return head_; }
+  [[nodiscard]] double start_of(Handle h) const { return payload_[h].start; }
   [[nodiscard]] double end_of(Handle h) const {
     const Handle n = payload_[h].next;
-    return n == kNoHandle ? end_ : index_.key(n);
+    return n == kNoHandle ? end_ : payload_[n].start;
   }
   [[nodiscard]] double length_of(Handle h) const {
     return end_of(h) - start_of(h);
@@ -138,7 +130,7 @@ class IntervalStore {
   // -- cold-path materialization into the contiguous types -----------------
   /// Boundaries in time order as a TimePartition (O(n)).
   [[nodiscard]] TimePartition snapshot_partition() const;
-  /// Loads in position order as a WorkAssignment (O(total loads)). Note:
+  /// Loads in time order as a WorkAssignment (O(total loads)). Note:
   /// the snapshot's epoch counters restart from zero — epochs are
   /// meaningful only against the live store.
   [[nodiscard]] WorkAssignment snapshot_assignment() const;
@@ -147,17 +139,21 @@ class IntervalStore {
   struct Payload {
     std::vector<Load> loads;
     std::uint64_t epoch = 0;
+    double start = 0.0;
     Handle next = kNoHandle;  // time-order successor
   };
 
-  /// Claims the payload slot for a node id just handed out by index_ —
-  /// either a fresh slab slot or a recycled one — and links it in front of
-  /// `next` in time order (the caller relinks its predecessor).
-  void adopt_payload(Handle h, Handle next);
+  /// Hands out a handle for a new interval starting at `start` and linked
+  /// in front of `next` in time order (the caller relinks its predecessor):
+  /// the most recently freed handle if any, else a fresh slab slot.
+  Handle allocate(double start, Handle next);
 
-  util::OrderIndex index_;        // keys = interval start times; ids = handles
-  std::vector<Payload> payload_;  // indexed by handle
-  double end_ = 0.0;              // end of the last interval (back boundary)
+  std::map<double, Handle> index_;  // interval start -> handle
+  std::vector<Payload> payload_;    // indexed by handle
+  std::vector<Handle> free_;        // retired handles, reused LIFO
+  Handle head_ = kNoHandle;         // first interval in time order
+  Handle tail_ = kNoHandle;         // last interval in time order
+  double end_ = 0.0;                // end of the last interval (back boundary)
   std::optional<double> lone_boundary_;  // bootstrap: one boundary, no interval
 };
 

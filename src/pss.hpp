@@ -63,7 +63,6 @@
 
 // Utilities used throughout the public API (seeded RNG, result tables,
 // piecewise-linear curves, the parallel-for used by experiment sweeps).
-#include "util/order_index.hpp"
 #include "util/parallel.hpp"
 #include "util/piecewise_linear.hpp"
 #include "util/random.hpp"

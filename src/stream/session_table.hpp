@@ -68,6 +68,8 @@ class SessionTable {
   void open(StreamId id);
 
   /// Routes one arrival into the stream's scheduler, opening it if needed.
+  /// Client job ids pass through unchanged, so a repeated id reaches
+  /// PdScheduler::on_arrival and is refused there (std::invalid_argument).
   core::ArrivalDecision feed(StreamId id, const model::Job& job);
 
   /// Advances the stream's horizon to time t (opens the session if needed,

@@ -3,21 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "util/math.hpp"
+
 namespace pss::util {
-
-namespace {
-
-// splitmix64 — the repo's canonical deterministic scrambler (matches
-// stream/router.hpp); duplicated here to keep util/ below stream/ in the
-// layering.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 FaultInjector& FaultInjector::instance() {
   static FaultInjector injector;

@@ -155,6 +155,26 @@ TEST(PdScheduler, ArrivalOrderEnforced) {
                std::invalid_argument);
 }
 
+// A client id is not a promise of uniqueness. Job 0 commits 2 units over
+// [0, 4); a second arrival reusing id 0 over [1, 3) would water-fill as if
+// id 0 held nothing there and then overwrite its loads, so it is refused
+// (std::invalid_argument), the earlier commitment stays whole, and the
+// scheduler serves on. Its two boundaries may stay in the partition:
+// refinement does not change the schedule (Section 3).
+TEST(PdScheduler, RepeatedJobIdIsRefusedAndCommittedWorkSurvives) {
+  core::PdScheduler pd(Machine{1, 2.0});
+  ASSERT_TRUE(pd.on_arrival(Job{0, 0.0, 4.0, 2.0, util::kInf}).accepted);
+  EXPECT_THROW(pd.on_arrival(Job{0, 1.0, 3.0, 1.0, util::kInf}),
+               std::invalid_argument);
+  EXPECT_EQ(pd.assignment().total_of(0), 2.0);
+  EXPECT_EQ(pd.counters().arrivals, 1);
+  const auto next = pd.on_arrival(Job{1, 1.0, 3.0, 1.0, util::kInf});
+  EXPECT_TRUE(next.accepted);
+  EXPECT_EQ(pd.assignment().total_of(0), 2.0);
+  EXPECT_EQ(pd.assignment().total_of(1), 1.0);
+  EXPECT_EQ(pd.counters().arrivals, 2);
+}
+
 // ------------------------------------------------------------ ReferencePd
 
 // Listing 1 by hand. m = 1, alpha = 2, so delta = alpha^(1-alpha) = 1/2,

@@ -39,6 +39,17 @@ using model::IntervalStore;
 using model::Job;
 using model::Machine;
 
+// Positions are a test-side notion: the store addresses intervals by
+// handle only, so the k-th interval is found by walking the chain.
+IntervalStore::Handle handle_at(const IntervalStore& store, std::size_t pos) {
+  IntervalStore::Handle h = store.front_handle();
+  for (; pos > 0; --pos) h = store.next_handle(h);
+  return h;
+}
+
+// The id of an arriving job that holds no load anywhere in these tests.
+constexpr model::JobId kNewJob = 99;
+
 Job make_job(model::JobId id, double release, double deadline, double work,
              double value) {
   Job job;
@@ -162,10 +173,11 @@ TEST(CacheInvalidation, OnlineStatePrependKeepsCacheAligned) {
   state.ensure_boundary(2.0);
   state.ensure_boundary(3.0);
   ASSERT_EQ(state.num_intervals(), 2u);
-  state.store.set_load(state.store.handle_at(0), 7, 1.5);
-  state.store.set_load(state.store.handle_at(1), 8, 0.5);
+  state.store.set_load(handle_at(state.store, 0), 7, 1.5);
+  state.store.set_load(handle_at(state.store, 1), 8, 0.5);
 
-  const auto before = cache.curves_for(state.store, 2, {0, 2});
+  const auto before =
+      cache.curves_for(state.store, 2, state.store.span(1.0, 3.0), kNewJob);
   const std::vector<util::PiecewiseLinear::Knot> knots0 = before[0]->knots();
   ASSERT_EQ(cache.stats().rebuilds, 2);
 
@@ -173,9 +185,10 @@ TEST(CacheInvalidation, OnlineStatePrependKeepsCacheAligned) {
   ASSERT_EQ(state.num_intervals(), 3u);
   EXPECT_EQ(state.horizon_extensions, 2);  // the append at t=3, this prepend
   // Shifted with its interval.
-  EXPECT_EQ(state.store.load_of(state.store.handle_at(1), 7), 1.5);
+  EXPECT_EQ(state.store.load_of(handle_at(state.store, 1), 7), 1.5);
 
-  const auto after = cache.curves_for(state.store, 2, {0, 3});
+  const auto after =
+      cache.curves_for(state.store, 2, state.store.span(0.5, 3.0), kNewJob);
   // Only the new leading interval needed a build; the shifted entries hit.
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 2);
@@ -196,25 +209,26 @@ IntervalStore make_store(const std::vector<double>& boundaries) {
 
 TEST(CurveCache, EpochInvalidationOnSetLoad) {
   IntervalStore store = make_store({0.0, 1.0, 2.5, 3.0});
-  store.set_load(store.handle_at(0), 1, 2.0);
-  store.set_load(store.handle_at(1), 2, 1.0);
+  store.set_load(handle_at(store, 0), 1, 2.0);
+  store.set_load(handle_at(store, 1), 2, 1.0);
 
   CurveCache cache;
-  (void)cache.curves_for(store, 2, {0, 3});
+  const IntervalStore::Span window = store.span(0.0, 3.0);
+  (void)cache.curves_for(store, 2, window, kNewJob);
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 0);
 
-  (void)cache.curves_for(store, 2, {0, 3});
+  (void)cache.curves_for(store, 2, window, kNewJob);
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 3);
 
-  store.set_load(store.handle_at(1), 3, 0.25);  // dirties interval 1 only
-  const auto curves = cache.curves_for(store, 2, {0, 3});
+  store.set_load(handle_at(store, 1), 3, 0.25);  // dirties interval 1 only
+  const auto curves = cache.curves_for(store, 2, window, kNewJob);
   EXPECT_EQ(cache.stats().rebuilds, 4);
   EXPECT_EQ(cache.stats().hits, 5);
 
   // The rebuilt curve matches a from-scratch build exactly.
-  const IntervalStore::Handle h1 = store.handle_at(1);
+  const IntervalStore::Handle h1 = handle_at(store, 1);
   const auto fresh =
       chen::insertion_curve(store.loads(h1), -1, 2, store.length_of(h1));
   ASSERT_EQ(curves[1]->knots().size(), fresh.knots().size());
@@ -226,37 +240,38 @@ TEST(CurveCache, EpochInvalidationOnSetLoad) {
 
 TEST(CurveCache, SplitInvalidatesBothHalves) {
   IntervalStore store = make_store({0.0, 2.0, 4.0});
-  store.set_load(store.handle_at(0), 1, 3.0);
-  store.set_load(store.handle_at(1), 2, 1.0);
+  store.set_load(handle_at(store, 0), 1, 3.0);
+  store.set_load(handle_at(store, 1), 2, 1.0);
 
   CurveCache cache;
-  (void)cache.curves_for(store, 1, {0, 2});
+  (void)cache.curves_for(store, 1, store.span(0.0, 4.0), kNewJob);
   ASSERT_EQ(cache.stats().rebuilds, 2);
 
   // Split interval 0 at half its length; both halves must rebuild, the
   // shifted old interval 1 must not.
   ASSERT_EQ(store.ensure_boundary(1.0), IntervalStore::Refinement::kSplit);
-  (void)cache.curves_for(store, 1, {0, 3});
+  (void)cache.curves_for(store, 1, store.span(0.0, 4.0), kNewJob);
   EXPECT_EQ(cache.stats().rebuilds, 4);
   EXPECT_EQ(cache.stats().hits, 1);
 }
 
-TEST(CurveCache, IgnoreJobLoadBypassesCache) {
-  IntervalStore store = make_store({0.0, 2.0});
-  store.set_load(store.handle_at(0), 5, 1.0);
-  store.set_load(store.handle_at(0), 6, 4.0);
+TEST(CurveCache, RefusesAJobThatAlreadyHoldsLoad) {
+  IntervalStore store = make_store({0.0, 2.0, 3.0});
+  store.set_load(handle_at(store, 1), 5, 1.0);
+  store.set_load(handle_at(store, 1), 6, 4.0);
 
   CurveCache cache;
-  // Excluding job 5 must produce the other-loads curve, not the all-loads
-  // curve, and must not poison the cache for later all-loads queries.
-  const auto excluding = cache.curves_for(store, 2, {0, 1}, 5);
-  const auto expected = chen::insertion_curve({4.0}, 2, 2.0);
-  EXPECT_EQ(excluding[0]->eval(1.0), expected.eval(1.0));
-  EXPECT_EQ(cache.stats().hits, 0);
-
-  const auto all = cache.curves_for(store, 2, {0, 1});
-  const auto expected_all = chen::insertion_curve({1.0, 4.0}, 2, 2.0);
-  EXPECT_EQ(all[0]->eval(1.0), expected_all.eval(1.0));
+  // PD never re-places a job: an arrival whose id already holds load in
+  // its window is a repeated id, refused before any curve is handed out.
+  EXPECT_THROW((void)cache.curves_for(store, 2, store.span(0.0, 3.0), 5),
+               std::invalid_argument);
+  // A window that misses the earlier job's load is fine, and the refusal
+  // left the cache serving all-loads curves.
+  EXPECT_EQ(cache.curves_for(store, 2, store.span(0.0, 2.0), 5).size(), 1u);
+  const auto all = cache.curves_for(store, 2, store.span(0.0, 3.0), kNewJob);
+  const auto expected_all = chen::insertion_curve({1.0, 4.0}, 2, 1.0);
+  EXPECT_EQ(all[1]->eval(1.0), expected_all.eval(1.0));
+  EXPECT_EQ(all[1]->eval(3.0), expected_all.eval(3.0));
 }
 
 // The same curve, bit for bit: knots and final slope.
@@ -359,9 +374,10 @@ TEST(LazyLinearSum, MatchesReferenceWaterFill) {
     IntervalStore store = make_store(bounds);
     for (std::size_t k = 0; k < num_intervals; ++k)
       for (const model::Load& load : assignment.loads(k))
-        store.set_load(store.handle_at(k), load.job, load.amount);
+        store.set_load(handle_at(store, k), load.job, load.amount);
     CurveCache cache;
-    const auto curves = cache.curves_for(store, m, window, 7);
+    const auto curves = cache.curves_for(
+        store, m, store.span(bounds.front(), bounds.back()), 7);
     const auto fast =
         convex::water_fill_over_curves(curves, work, cap, cache.sum_scratch());
 

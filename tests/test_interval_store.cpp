@@ -1,15 +1,14 @@
-// The stable-handle interval store and its order-statistics index.
+// The stable-handle interval store.
 //
-// Three layers of coverage:
-//   * util::OrderIndex against a sorted-vector oracle (insert anywhere,
-//     find / last_leq / select / rank / front / back);
+// Two layers of coverage:
 //   * model::IntervalStore semantics: bootstrap below two boundaries,
-//     split / append / prepend refinements, stable handles, epochs, the
-//     time-order successor chain (also across a checkpoint round trip),
-//     and snapshot materialization — core::OnlineState cross-checked against
-//     the contiguous TimePartition + WorkAssignment pair refined by the
-//     reference core::refine_partition (including a prepend-heavy stream
-//     the arrival-ordered schedulers can never produce);
+//     split / append / prepend refinements, stable handles, epochs, LIFO
+//     handle recycling, handle spans, the time-order successor chain (also
+//     across a checkpoint round trip), and snapshot materialization —
+//     core::OnlineState cross-checked against the contiguous TimePartition
+//     + WorkAssignment pair refined by the reference core::refine_partition
+//     (including a prepend-heavy stream the arrival-ordered schedulers can
+//     never produce);
 //   * torture at 100k+ intervals with duplicate / already-boundary inserts
 //     for both the store and the contiguous reference representation.
 #include <gtest/gtest.h>
@@ -17,6 +16,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -25,7 +25,6 @@
 #include "core/reference_pd.hpp"
 #include "io/state_io.hpp"
 #include "model/interval_store.hpp"
-#include "util/order_index.hpp"
 #include "util/random.hpp"
 
 namespace pss {
@@ -34,158 +33,30 @@ namespace {
 using core::OnlineState;
 using core::refine_partition;
 using model::IntervalStore;
-using util::OrderIndex;
 
-// --------------------------------------------------------------- OrderIndex
-
-TEST(OrderIndex, InsertAnywhereKeepsOrderStatistics) {
-  OrderIndex index;
-  std::vector<double> oracle;
-  util::Rng rng(12345);
-  for (int i = 0; i < 500; ++i) {
-    double key;
-    do {
-      key = rng.uniform(0.0, 1000.0);
-    } while (std::binary_search(oracle.begin(), oracle.end(), key));
-    index.insert(key);
-    oracle.insert(std::lower_bound(oracle.begin(), oracle.end(), key), key);
-  }
-  ASSERT_EQ(index.size(), oracle.size());
-  for (std::size_t pos = 0; pos < oracle.size(); ++pos) {
-    const OrderIndex::NodeId id = index.select(pos);
-    EXPECT_EQ(index.key(id), oracle[pos]);
-    EXPECT_EQ(index.rank(id), pos);
-  }
-  // The select walk above covers every position; the ends agree with it.
-  EXPECT_EQ(index.front(), index.select(0));
-  EXPECT_EQ(index.back(), index.select(oracle.size() - 1));
+// Positions are a test-side notion: the store addresses intervals by
+// handle only, so the k-th interval is found by walking the chain.
+IntervalStore::Handle handle_at(const IntervalStore& store, std::size_t pos) {
+  IntervalStore::Handle h = store.front_handle();
+  for (; pos > 0; --pos) h = store.next_handle(h);
+  return h;
 }
 
-TEST(OrderIndex, FindAndPredecessorQueries) {
-  OrderIndex index;
-  for (double key : {10.0, 2.0, 7.0, 30.0, 21.0}) index.insert(key);
-  EXPECT_EQ(index.key(index.find(7.0)), 7.0);
-  EXPECT_EQ(index.find(8.0), OrderIndex::kNull);
-  EXPECT_EQ(index.key(index.last_leq(8.0)), 7.0);
-  EXPECT_EQ(index.key(index.last_leq(2.0)), 2.0);
-  EXPECT_EQ(index.last_leq(1.9), OrderIndex::kNull);
-  EXPECT_EQ(index.key(index.last_leq(1e9)), 30.0);
-  EXPECT_EQ(index.key(index.front()), 2.0);
-  EXPECT_EQ(index.key(index.back()), 30.0);
+std::size_t position_of(const IntervalStore& store, IntervalStore::Handle h) {
+  std::size_t pos = 0;
+  for (IntervalStore::Handle g = store.front_handle(); g != h;
+       g = store.next_handle(g))
+    ++pos;
+  return pos;
 }
 
-TEST(OrderIndex, NodeIdsAreStableAcrossInserts) {
-  OrderIndex index;
-  const auto id_five = index.insert(5.0);
-  for (int i = 0; i < 100; ++i) index.insert(5.0 + double(i + 1));
-  for (int i = 0; i < 100; ++i) index.insert(5.0 - double(i + 1));
-  EXPECT_EQ(index.key(id_five), 5.0);  // untouched by 200 inserts around it
-  EXPECT_EQ(index.rank(id_five), 100u);
-}
-
-TEST(OrderIndex, RejectsDuplicateKeyAndStaysConsistent) {
-  OrderIndex index;
-  index.insert(1.0);
-  index.insert(3.0);
-  index.insert(2.0);
-  EXPECT_THROW((void)index.insert(2.0), std::invalid_argument);
-  // The failed insert must not have corrupted the subtree counts: order
-  // statistics still answer correctly and further inserts work.
-  EXPECT_EQ(index.size(), 3u);
-  EXPECT_EQ(index.key(index.select(1)), 2.0);
-  EXPECT_EQ(index.rank(index.find(3.0)), 2u);
-  index.insert(4.0);
-  EXPECT_EQ(index.key(index.select(3)), 4.0);
-  EXPECT_EQ(index.rank(index.find(4.0)), 3u);
-}
-
-TEST(OrderIndex, ClearEmptiesTheIndex) {
-  OrderIndex index;
-  index.insert(1.0);
-  index.insert(2.0);
-  index.clear();
-  EXPECT_TRUE(index.empty());
-  EXPECT_EQ(index.front(), OrderIndex::kNull);
-  const auto id = index.insert(9.0);
-  EXPECT_EQ(id, 0u);  // ids restart after clear
-}
-
-TEST(OrderIndex, EraseAgainstSortedOracle) {
-  OrderIndex index;
-  std::vector<double> oracle;
-  util::Rng rng(4242);
-  std::vector<OrderIndex::NodeId> live;
-  for (int round = 0; round < 2000; ++round) {
-    const bool do_erase = !live.empty() && rng.bernoulli(0.45);
-    if (do_erase) {
-      const std::size_t pick =
-          std::size_t(rng.uniform_int(0, std::int64_t(live.size()) - 1));
-      const OrderIndex::NodeId id = live[pick];
-      const double key = index.key(id);
-      index.erase(id);
-      oracle.erase(std::lower_bound(oracle.begin(), oracle.end(), key));
-      live.erase(live.begin() + std::ptrdiff_t(pick));
-      EXPECT_FALSE(index.is_live(id));
-    } else {
-      double key;
-      do {
-        key = rng.uniform(0.0, 1000.0);
-      } while (std::binary_search(oracle.begin(), oracle.end(), key));
-      live.push_back(index.insert(key));
-      oracle.insert(std::lower_bound(oracle.begin(), oracle.end(), key), key);
-    }
-    ASSERT_EQ(index.size(), oracle.size());
-  }
-  for (std::size_t pos = 0; pos < oracle.size(); ++pos) {
-    const OrderIndex::NodeId id = index.select(pos);
-    EXPECT_EQ(index.key(id), oracle[pos]);
-    EXPECT_EQ(index.rank(id), pos);
-  }
-  // Erased slots were recycled: the slab never outgrew the high-water mark
-  // of the live count by more than the churn allows.
-  EXPECT_LE(index.slab_size(), 2000u);
-}
-
-TEST(OrderIndex, EraseRecyclesIdsLifo) {
-  OrderIndex index;
-  const auto a = index.insert(1.0);
-  const auto b = index.insert(2.0);
-  const auto c = index.insert(3.0);
-  index.erase(b);
-  index.erase(a);
-  EXPECT_FALSE(index.is_live(a));
-  EXPECT_FALSE(index.is_live(b));
-  EXPECT_TRUE(index.is_live(c));
-  // LIFO free list: the most recently freed id comes back first.
-  EXPECT_EQ(index.insert(4.0), a);
-  EXPECT_EQ(index.insert(5.0), b);
-  EXPECT_EQ(index.insert(6.0), 3u);  // free list empty: fresh slot
-  EXPECT_EQ(index.size(), 4u);
-  EXPECT_EQ(index.slab_size(), 4u);
-}
-
-TEST(OrderIndex, EraseToEmptyAndRebuild) {
-  OrderIndex index;
-  std::vector<OrderIndex::NodeId> ids;
-  for (int i = 0; i < 64; ++i) ids.push_back(index.insert(double(i)));
-  for (const auto id : ids) index.erase(id);
-  EXPECT_TRUE(index.empty());
-  EXPECT_EQ(index.front(), OrderIndex::kNull);
-  EXPECT_EQ(index.size(), 0u);
-  for (int i = 0; i < 64; ++i) index.insert(double(i) + 0.5);
-  EXPECT_EQ(index.size(), 64u);
-  EXPECT_EQ(index.slab_size(), 64u);  // all slots came from the free list
-  for (int i = 0; i < 64; ++i)
-    EXPECT_EQ(index.key(index.select(std::size_t(i))), double(i) + 0.5);
-}
-
-TEST(OrderIndex, EraseOfDeadSlotThrows) {
-  OrderIndex index;
-  const auto a = index.insert(1.0);
-  index.insert(2.0);
-  index.erase(a);
-  EXPECT_THROW(index.erase(a), std::invalid_argument);
-  EXPECT_THROW(index.erase(99), std::invalid_argument);
+// Number of intervals a span covers.
+std::size_t span_size(const IntervalStore& store, IntervalStore::Span span) {
+  std::size_t n = 0;
+  for (IntervalStore::Handle h = span.first; h != span.last;
+       h = store.next_handle(h))
+    ++n;
+  return n;
 }
 
 // ------------------------------------------------------------ IntervalStore
@@ -212,24 +83,26 @@ TEST(IntervalStore, BootstrapBelowTwoBoundaries) {
   EXPECT_EQ(store.num_intervals(), 1u);
   EXPECT_EQ(store.front_boundary(), 1.0);
   EXPECT_EQ(store.back_boundary(), 3.0);
-  EXPECT_EQ(store.interval_of(2.0), 0u);
+  const IntervalStore::Span span = store.span(1.0, 3.0);
+  EXPECT_EQ(span.first, store.front_handle());
+  EXPECT_EQ(span.last, IntervalStore::kNoHandle);
 }
 
 TEST(IntervalStore, SplitDividesLoadsProportionallyAndKeepsHandles) {
   IntervalStore store;
   store.ensure_boundary(0.0);
   store.ensure_boundary(4.0);
-  const IntervalStore::Handle h = store.handle_at(0);
+  const IntervalStore::Handle h = handle_at(store, 0);
   store.set_load(h, 1, 4.0);
   const std::uint64_t epoch_before = store.epoch(h);
 
   EXPECT_EQ(store.ensure_boundary(1.0), IntervalStore::Refinement::kSplit);
   ASSERT_EQ(store.num_intervals(), 2u);
   // Left half keeps its handle at position 0; right half is a new handle.
-  EXPECT_EQ(store.position_of(h), 0u);
+  EXPECT_EQ(position_of(store, h), 0u);
   EXPECT_EQ(store.start_of(h), 0.0);
   EXPECT_EQ(store.end_of(h), 1.0);
-  const IntervalStore::Handle right = store.handle_at(1);
+  const IntervalStore::Handle right = handle_at(store, 1);
   EXPECT_NE(right, h);
   EXPECT_EQ(store.start_of(right), 1.0);
   EXPECT_EQ(store.end_of(right), 4.0);
@@ -245,7 +118,7 @@ TEST(IntervalStore, AppendAndPrependExtendHorizon) {
   IntervalStore store;
   store.ensure_boundary(1.0);
   store.ensure_boundary(2.0);
-  const IntervalStore::Handle first = store.handle_at(0);
+  const IntervalStore::Handle first = handle_at(store, 0);
   store.set_load(first, 9, 5.0);
 
   EXPECT_EQ(store.ensure_boundary(5.0), IntervalStore::Refinement::kAppend);
@@ -253,26 +126,29 @@ TEST(IntervalStore, AppendAndPrependExtendHorizon) {
   ASSERT_EQ(store.num_intervals(), 3u);
   // The original interval kept its handle, moved to position 1, and its
   // loads and epoch were untouched by both extensions.
-  EXPECT_EQ(store.position_of(first), 1u);
+  EXPECT_EQ(position_of(store, first), 1u);
   EXPECT_DOUBLE_EQ(store.load_of(first, 9), 5.0);
   EXPECT_EQ(store.front_boundary(), 0.0);
   EXPECT_EQ(store.back_boundary(), 5.0);
-  EXPECT_TRUE(store.loads(store.handle_at(0)).empty());
-  EXPECT_TRUE(store.loads(store.handle_at(2)).empty());
+  EXPECT_TRUE(store.loads(handle_at(store, 0)).empty());
+  EXPECT_TRUE(store.loads(handle_at(store, 2)).empty());
 
-  const auto range = store.range(0.0, 2.0);
-  EXPECT_EQ(range.first, 0u);
-  EXPECT_EQ(range.last, 2u);
-  EXPECT_THROW((void)store.range(0.5, 2.0), std::invalid_argument);
-  EXPECT_EQ(store.interval_of(4.9), 2u);
-  EXPECT_THROW((void)store.interval_of(5.0), std::invalid_argument);
+  const IntervalStore::Span front = store.span(0.0, 2.0);
+  EXPECT_EQ(front.first, handle_at(store, 0));
+  EXPECT_EQ(front.last, handle_at(store, 2));
+  EXPECT_EQ(span_size(store, front), 2u);
+  EXPECT_EQ(store.span(2.0, 5.0).last, IntervalStore::kNoHandle);
+  EXPECT_THROW((void)store.span(0.5, 2.0), std::invalid_argument);
+  EXPECT_THROW((void)store.span(0.0, 4.9), std::invalid_argument);
+  EXPECT_THROW((void)store.span(5.0, 6.0), std::invalid_argument);
+  EXPECT_THROW((void)store.span(2.0, 2.0), std::invalid_argument);
 }
 
 TEST(IntervalStore, SetLoadMatchesWorkAssignmentSemantics) {
   IntervalStore store;
   store.ensure_boundary(0.0);
   store.ensure_boundary(1.0);
-  const auto h = store.handle_at(0);
+  const auto h = handle_at(store, 0);
   store.set_load(h, 1, 2.0);
   store.set_load(h, 2, 3.0);
   EXPECT_DOUBLE_EQ(store.interval_total(h), 5.0);
@@ -289,8 +165,8 @@ TEST(IntervalStore, SetLoadMatchesWorkAssignmentSemantics) {
 TEST(IntervalStore, SnapshotsMatchContiguousTypes) {
   IntervalStore store;
   for (double t : {4.0, 0.0, 2.0, 6.0}) store.ensure_boundary(t);
-  store.set_load(store.handle_at(1), 1, 2.5);
-  store.set_load(store.handle_at(2), 2, 1.5);
+  store.set_load(handle_at(store, 1), 1, 2.5);
+  store.set_load(handle_at(store, 2), 2, 1.5);
 
   const model::TimePartition partition = store.snapshot_partition();
   ASSERT_EQ(partition.num_intervals(), 3u);
@@ -355,7 +231,7 @@ void expect_backends_identical(const std::vector<double>& boundaries,
       const std::size_t k = std::size_t(rng.uniform_int(0, int(n) - 1));
       const double amount = rng.uniform(0.1, 3.0);
       contiguous.assignment.set_load(k, next_job, amount);
-      indexed.store.set_load(indexed.store.handle_at(k), next_job, amount);
+      indexed.store.set_load(handle_at(indexed.store, k), next_job, amount);
       ++next_job;
     }
   }
@@ -421,7 +297,7 @@ TEST(IntervalStoreTorture, BisectionTo100kIntervalsWithDuplicates) {
   state.ensure_boundary(0.0);
   state.ensure_boundary(double(kN));
   // Plant a load so every split divides a nonempty interval.
-  state.store.set_load(state.store.handle_at(0), 0, 1000.0);
+  state.store.set_load(handle_at(state.store, 0), 0, 1000.0);
   for (std::uint32_t i = 1; i < kN; ++i) {
     std::uint32_t r = 0;
     for (int b = 0; b < 17; ++b) r |= ((i >> b) & 1u) << (16 - b);
@@ -437,11 +313,11 @@ TEST(IntervalStoreTorture, BisectionTo100kIntervalsWithDuplicates) {
   ASSERT_EQ(state.store.num_boundaries(), std::size_t(kN) + 1);
   // The planted work survived every split, spread over the whole horizon.
   EXPECT_NEAR(state.store.total_of(0), 1000.0, 1e-6);
-  // Spot-check order statistics at scale.
-  EXPECT_EQ(state.store.interval_of(0.5), 0u);
-  EXPECT_EQ(state.store.interval_of(double(kN) - 0.5), std::size_t(kN) - 1);
-  const auto range = state.store.range(100.0, 200.0);
-  EXPECT_EQ(range.size(), 100u);
+  // Spot-check spans at scale.
+  EXPECT_EQ(state.store.span(0.0, 1.0).first, state.store.front_handle());
+  EXPECT_EQ(state.store.span(double(kN) - 1.0, double(kN)).last,
+            IntervalStore::kNoHandle);
+  EXPECT_EQ(span_size(state.store, state.store.span(100.0, 200.0)), 100u);
 }
 
 // The contiguous reference path at the same scale: ascending inserts (its
@@ -482,33 +358,62 @@ TEST(OnlineStateBackends, EnsureBoundaryBootstrap) {
 
 // --------------------------------------------------- successor threading
 
-// The store's time-order successor chain against the treap's order
-// statistics: front_handle / next_handle visit exactly select(0..n-1), and
+// The store against a sorted-boundary oracle: the successor chain from
+// front_handle visits exactly the oracle's intervals in time order, and
 // every end_of is the next interval's start (the back boundary for the
 // last interval).
-void expect_successor_chain(const IntervalStore& store) {
-  const std::size_t n = store.num_intervals();
+void expect_matches_oracle(const IntervalStore& store,
+                           const std::vector<double>& oracle) {
+  ASSERT_EQ(store.num_boundaries(), oracle.size());
+  if (oracle.empty()) return;
+  ASSERT_EQ(store.front_boundary(), oracle.front());
+  ASSERT_EQ(store.back_boundary(), oracle.back());
   IntervalStore::Handle h = store.front_handle();
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    ASSERT_EQ(h, store.handle_at(pos)) << "position " << pos;
-    const double next_start = pos + 1 < n
-                                  ? store.start_of(store.handle_at(pos + 1))
-                                  : store.back_boundary();
-    ASSERT_EQ(store.end_of(h), next_start) << "position " << pos;
+  for (std::size_t pos = 0; pos + 1 < oracle.size(); ++pos) {
+    ASSERT_NE(h, IntervalStore::kNoHandle) << "position " << pos;
+    ASSERT_EQ(store.start_of(h), oracle[pos]) << "position " << pos;
+    ASSERT_EQ(store.end_of(h), oracle[pos + 1]) << "position " << pos;
+    ASSERT_TRUE(store.has_boundary(oracle[pos])) << "position " << pos;
     h = store.next_handle(h);
   }
   ASSERT_EQ(h, IntervalStore::kNoHandle);
 }
 
+// span(t0, t1) walked from first to last visits exactly the snapshot
+// partition's range(t0, t1), with bitwise-equal starts and lengths.
+void expect_span_matches_partition(const IntervalStore& store, double t0,
+                                   double t1) {
+  const model::TimePartition partition = store.snapshot_partition();
+  const model::IntervalRange range = partition.range(t0, t1);
+  const IntervalStore::Span span = store.span(t0, t1);
+  std::size_t k = range.first;
+  for (IntervalStore::Handle h = span.first; h != span.last;
+       h = store.next_handle(h), ++k) {
+    ASSERT_LT(k, range.last) << "span overruns [" << t0 << ", " << t1 << ")";
+    ASSERT_EQ(store.start_of(h), partition.start(k));
+    ASSERT_EQ(store.length_of(h), partition.length(k));
+  }
+  ASSERT_EQ(k, range.last) << "span stops short of [" << t0 << ", " << t1
+                           << ")";
+}
+
 TEST(IntervalStore, SuccessorChainSurvivesRandomRefinementAndCompaction) {
   util::Rng rng(515);
   IntervalStore store;
+  std::vector<double> oracle;  // sorted boundaries
   std::vector<IntervalStore::Handle> freed;
+  // Epoch each retired handle had while live; a handle that comes back
+  // must carry a larger one, so no cache entry of its previous tenant can
+  // validate.
+  std::map<IntervalStore::Handle, std::uint64_t> retired_epoch;
   int splits = 0, appends = 0, prepends = 0, empties = 0, clears = 0;
+  int recycled = 0, front_spans = 0, back_spans = 0, interior_spans = 0;
   for (int step = 0; step < 4000; ++step) {
     const double u = rng.uniform(0.0, 1.0);
     if (u < 0.02) {
       store.clear();
+      oracle.clear();
+      retired_epoch.clear();  // epochs restart with the slab
       ++clears;
     } else if (u < 0.12 && store.num_intervals() > 0) {
       // Compact a prefix; one time in five past the back, to empty.
@@ -516,8 +421,16 @@ TEST(IntervalStore, SuccessorChainSurvivesRandomRefinementAndCompaction) {
       const double hi = store.back_boundary();
       const double frontier = rng.bernoulli(0.2) ? hi + 1.0
                                                  : rng.uniform(lo, hi);
+      std::map<IntervalStore::Handle, std::uint64_t> live_epoch;
+      for (IntervalStore::Handle h = store.front_handle();
+           h != IntervalStore::kNoHandle; h = store.next_handle(h))
+        live_epoch[h] = store.epoch(h);
       freed.clear();
       (void)store.compact_before(frontier, freed);
+      for (const IntervalStore::Handle h : freed)
+        retired_epoch[h] = live_epoch.at(h);
+      while (oracle.size() >= 2 && oracle[1] <= frontier)
+        oracle.erase(oracle.begin());
       if (store.num_intervals() == 0) ++empties;
     } else {
       // A boundary inside, past the back, or before the front.
@@ -536,22 +449,89 @@ TEST(IntervalStore, SuccessorChainSurvivesRandomRefinementAndCompaction) {
         case IntervalStore::Refinement::kPrepend: ++prepends; break;
         default: break;
       }
+      const auto at = std::lower_bound(oracle.begin(), oracle.end(), t);
+      if (at == oracle.end() || *at != t) oracle.insert(at, t);
       // Give a random interval a load so splits divide real work.
       if (store.num_intervals() > 0 && rng.bernoulli(0.3)) {
         const auto pos = std::size_t(
             rng.uniform_int(0, std::int64_t(store.num_intervals()) - 1));
-        store.set_load(store.handle_at(pos), step, rng.uniform(0.1, 2.0));
+        store.set_load(handle_at(store, pos), step, rng.uniform(0.1, 2.0));
       }
     }
-    expect_successor_chain(store);
+    expect_matches_oracle(store, oracle);
     if (HasFatalFailure()) FAIL() << "after step " << step;
+
+    for (IntervalStore::Handle h = store.front_handle();
+         h != IntervalStore::kNoHandle; h = store.next_handle(h)) {
+      const auto it = retired_epoch.find(h);
+      if (it == retired_epoch.end()) continue;
+      ASSERT_GT(store.epoch(h), it->second) << "recycled handle " << h;
+      retired_epoch.erase(it);
+      ++recycled;
+    }
+
+    if (oracle.size() >= 2) {
+      // A span between two boundaries: from the front, to the back, or
+      // strictly inside.
+      const auto last = std::int64_t(oracle.size()) - 1;
+      const auto i0 = rng.bernoulli(0.3) ? 0 : rng.uniform_int(0, last - 1);
+      const auto i1 = rng.bernoulli(0.3) ? last : rng.uniform_int(i0 + 1, last);
+      front_spans += i0 == 0;
+      back_spans += i1 == last;
+      interior_spans += i0 > 0 && i1 < last;
+      expect_span_matches_partition(store, oracle[std::size_t(i0)],
+                                    oracle[std::size_t(i1)]);
+      if (HasFatalFailure()) FAIL() << "after step " << step;
+      // Non-boundaries are refused at either end, and nothing starts at
+      // the back boundary.
+      const double mid =
+          0.5 * (oracle[std::size_t(i0)] + oracle[std::size_t(i0) + 1]);
+      if (!store.has_boundary(mid)) {
+        EXPECT_THROW((void)store.span(mid, oracle[std::size_t(i0) + 1]),
+                     std::invalid_argument);
+        EXPECT_THROW((void)store.span(oracle[std::size_t(i0)], mid),
+                     std::invalid_argument);
+      }
+      EXPECT_THROW((void)store.span(oracle.back(), oracle.back() + 1.0),
+                   std::invalid_argument);
+    }
   }
-  // Every mutation kind was exercised, including regrowth after emptying.
+  // Every mutation kind was exercised, including regrowth after emptying,
+  // and spans touched both ends of the partition and its interior.
   EXPECT_GT(splits, 100);
   EXPECT_GT(appends, 100);
   EXPECT_GT(prepends, 50);
   EXPECT_GT(empties, 5);
   EXPECT_GT(clears, 20);
+  EXPECT_GT(recycled, 100);
+  EXPECT_GT(front_spans, 100);
+  EXPECT_GT(back_spans, 100);
+  EXPECT_GT(interior_spans, 100);
+}
+
+TEST(IntervalStore, CompactionRecyclesHandlesLifo) {
+  IntervalStore store;
+  for (double t : {0.0, 1.0, 2.0, 3.0, 4.0}) (void)store.ensure_boundary(t);
+  const IntervalStore::Handle a = handle_at(store, 0);
+  const IntervalStore::Handle b = handle_at(store, 1);
+  const std::uint64_t epoch_a = store.epoch(a);
+  const std::uint64_t epoch_b = store.epoch(b);
+  std::vector<IntervalStore::Handle> freed;
+  ASSERT_EQ(store.compact_before(2.0, freed), 2u);
+  EXPECT_EQ(freed, (std::vector<IntervalStore::Handle>{a, b}));
+  EXPECT_EQ(store.front_boundary(), 2.0);
+  // The most recently freed handle comes back first, with a larger epoch;
+  // then the other; then the slab grows.
+  ASSERT_EQ(store.ensure_boundary(5.0), IntervalStore::Refinement::kAppend);
+  EXPECT_EQ(handle_at(store, 2), b);
+  EXPECT_GT(store.epoch(b), epoch_b);
+  ASSERT_EQ(store.ensure_boundary(1.5), IntervalStore::Refinement::kPrepend);
+  EXPECT_EQ(store.front_handle(), a);
+  EXPECT_GT(store.epoch(a), epoch_a);
+  EXPECT_TRUE(store.loads(a).empty());
+  ASSERT_EQ(store.ensure_boundary(6.0), IntervalStore::Refinement::kAppend);
+  EXPECT_EQ(store.handle_space(), 5u);
+  EXPECT_EQ(store.num_intervals(), 5u);
 }
 
 TEST(IntervalStore, SuccessorChainAfterCheckpointRoundTrip) {

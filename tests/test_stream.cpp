@@ -427,6 +427,35 @@ TEST(StreamEngine, MalformedOpsAreCountedNotFatal) {
   EXPECT_EQ(snap.arrivals, 2);  // both `good` feeds landed
 }
 
+// A repeated job id inside one stream reaches the scheduler straight from
+// the client. The engine counts the refused arrival as an op error, the
+// earlier job's commitment is untouched, and the stream serves on: its
+// result matches a direct scheduler that saw the same refusal.
+TEST(StreamEngine, RepeatedJobIdIsAnOpErrorAndTheStreamServesOn) {
+  stream::StreamEngine engine(engine_options(2));
+  const model::Job first{0, 0.0, 4.0, 2.0, 10.0};
+  const model::Job repeat{0, 1.0, 3.0, 1.0, 10.0};
+  const model::Job next{1, 1.0, 3.0, 1.0, 10.0};
+  engine.feed(4, first);
+  engine.feed(4, repeat);
+  engine.feed(4, next);
+  engine.close_stream(4);
+  const auto results = engine.finish();
+
+  core::PdScheduler direct(kMachine);
+  (void)direct.on_arrival(first);
+  EXPECT_THROW((void)direct.on_arrival(repeat), std::invalid_argument);
+  (void)direct.on_arrival(next);
+  EXPECT_EQ(direct.assignment().total_of(0), 2.0);
+
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].counters.arrivals, 2);
+  EXPECT_EQ(results[0].planned_energy, direct.planned_energy());
+  const auto snap = engine.snapshot();
+  EXPECT_EQ(snap.op_errors, 1);
+  EXPECT_EQ(snap.arrivals, 2);
+}
+
 TEST(StreamEngine, ReopeningAClosedIdStartsAFreshSession) {
   stream::StreamEngine engine(engine_options(1));
   const auto jobs = sim::make_stream_jobs(small_config(1, 15), 0,
