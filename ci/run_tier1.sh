@@ -166,13 +166,15 @@ echo "docs-consistency: OK (all emitted BENCH_*.json schemas documented)"
 # suites that exercise prefix compaction, checkpoint/restore, restore
 # validation of hostile bytes (test_io), the stream engine end to end, the
 # curve cache's in-place rebuilds and hinted knot walks (test_incremental,
-# test_util), and fractional PD on the contiguous representation
-# (test_fractional).
+# test_util), fractional PD on the contiguous representation
+# (test_fractional), and the PdScheduler / ReferencePd unit suites
+# (test_core, without the Theorem 3 lower-bound cases, which are too slow
+# under ASan).
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
-cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_io test_incremental test_util test_fractional
+cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_io test_incremental test_util test_fractional test_core
 cd "${SAN_DIR}"
 UBSAN_OPTIONS=halt_on_error=1 ./test_compaction > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_stream > /dev/null
@@ -182,7 +184,8 @@ UBSAN_OPTIONS=halt_on_error=1 ./test_io > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_incremental > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_util > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_fractional > /dev/null
-echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/io/incremental/util/fractional suites)"
+UBSAN_OPTIONS=halt_on_error=1 ./test_core '--gtest_filter=-Theorem3*' > /dev/null
+echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/io/incremental/util/fractional/core suites)"
 
 # ThreadSanitizer pass over the concurrent surface: the MPSC rings, the
 # producer handles, the shutdown gate and the engine/ingest suites that

@@ -91,20 +91,29 @@ std::optional<Placement> water_fill(const model::WorkAssignment& assignment,
 }
 
 std::optional<Placement> water_fill_over_curves(
-    std::span<const util::PiecewiseLinear* const> curves, double work,
-    double max_speed, util::LazyLinearSum::Scratch& scratch) {
+    const WindowCurves& window, double work,
+    util::LazyLinearSum::Scratch& scratch) {
+  const auto curves = window.curves;
+  const double max_speed = window.cap;
   PSS_REQUIRE(!curves.empty(), "empty placement window");
   PSS_REQUIRE(work > 0.0, "work must be positive");
   PSS_REQUIRE(max_speed > 0.0, "max speed must be positive");
+  const bool capped = std::isfinite(max_speed);
 
-  const util::LazyLinearSum total(curves, scratch);
-
-  if (std::isfinite(max_speed) && total.eval(max_speed) < work)
-    return std::nullopt;
+  const util::LazyLinearSum total(curves, window.extent, scratch);
+  if (capped) {
+    // The certified cap test (header): decided on the gathered sum S unless
+    // it falls within the margin of `work`.
+    constexpr double kCapMargin = 1e-9;
+    const double sum = window.sum_at_cap;
+    if (sum < work * (1.0 - kCapMargin)) return std::nullopt;
+    if (!(sum > work * (1.0 + kCapMargin)) && total.eval(max_speed) < work)
+      return std::nullopt;
+  }
   const std::optional<double> level = total.first_at_least(work);
   PSS_CHECK(level.has_value(),
             "unbounded-speed window must absorb any workload");
-  PSS_CHECK(!std::isfinite(max_speed) || *level <= max_speed * (1.0 + 1e-9),
+  PSS_CHECK(!capped || *level <= max_speed * (1.0 + 1e-9),
             "water level exceeded the verified cap");
   return build_placement(work, *level, curves.size(),
                          [&](std::size_t i) -> const util::PiecewiseLinear& {

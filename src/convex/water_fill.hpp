@@ -11,7 +11,8 @@
 //   * the greedy variable increase of the PD algorithm (Listing 1), where
 //     the cap is the rejection speed v_j-derived bound — over the contiguous
 //     representation for core::ReferencePd, over cached curves
-//     (water_fill_over_curves) for core::PdScheduler;
+//     (water_fill_over_curves, with a certified cap test on values the
+//     curve walk already gathered) for core::PdScheduler;
 //   * fractional PD's partial service (cap = infinity, after
 //     window_capacity has sized the served amount), and
 //   * the exact per-job block minimization inside the offline convex solver
@@ -46,16 +47,40 @@ struct Placement {
     model::IntervalRange window, double work, double max_speed,
     model::JobId ignore_job = -1);
 
+/// A placement window's insertion curves as one walk over the window
+/// gathers them (core::CurveCache::curves_for): the curves in time order,
+/// their LazyLinearSum extent, the speed cap, and S, the sum of the curves'
+/// values at the cap (util::CompensatedSum over curves[i]->eval(cap); 0
+/// when the cap is +infinity).
+struct WindowCurves {
+  std::span<const util::PiecewiseLinear* const> curves;
+  util::LazyLinearSum::Extent extent;
+  double cap = 0.0;
+  double sum_at_cap = 0.0;
+};
+
 /// Incremental variant of water_fill over pre-built per-interval insertion
-/// curves (one per window interval, e.g. from core::CurveCache). Inverts
-/// Z(s) through a util::LazyLinearSum view, working in `scratch`, instead
-/// of materializing the summed curve, which drops the per-arrival cost from
-/// O(N*W) to O(N log N) for N total knots over W intervals.
-/// Decision-identical to the stateless reference above (see
+/// curves (one per window interval, e.g. from core::CurveCache), capped at
+/// window.cap. Inverts Z(s) through a util::LazyLinearSum view, working in
+/// `scratch`, instead of materializing the summed curve, which drops the
+/// per-arrival cost from O(N*W) to O(N log N) for N total knots over W
+/// intervals.
+///
+/// The cap test is certified: it rejects when S < work*(1 - 1e-9), goes on
+/// to placement when S > work*(1 + 1e-9), and only in between asks the view
+/// for the exact Z(cap). S and the exact value are floating-point
+/// evaluations of the same real Z(cap) — every curve is linear between
+/// adjacent union knots — from nonnegative terms, so each is within
+/// (ceil(log2 W) + 16) * 2^-53 of it, relatively: a few roundings per
+/// interpolated term, ceil(log2 W) levels of the exact value's pairwise
+/// tree, 2 for S's compensated sum. That is far inside the 1e-9 margin for
+/// any W below the store's 2^32 handles, so a certified answer is the exact
+/// one, and a rejected arrival costs no walk beyond the one that gathered
+/// the window. Decision-identical to the stateless reference above (see
 /// tests/test_differential.cpp).
 [[nodiscard]] std::optional<Placement> water_fill_over_curves(
-    std::span<const util::PiecewiseLinear* const> curves, double work,
-    double max_speed, util::LazyLinearSum::Scratch& scratch);
+    const WindowCurves& window, double work,
+    util::LazyLinearSum::Scratch& scratch);
 
 /// Total work the window can absorb at own-speed exactly `speed`
 /// (the Z(s) above); used by tests and the fractional scheduler's

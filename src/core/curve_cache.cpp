@@ -1,7 +1,10 @@
 #include "core/curve_cache.hpp"
 
+#include <cmath>
+
 #include "chen/insertion_curve.hpp"
 #include "util/assert.hpp"
+#include "util/pairwise_sum.hpp"
 
 namespace pss::core {
 
@@ -38,26 +41,35 @@ const util::PiecewiseLinear& CurveCache::entry_curve(
   return entry.curve;
 }
 
-std::span<const util::PiecewiseLinear* const> CurveCache::curves_for(
-    const model::IntervalStore& store, int num_processors,
-    model::IntervalStore::Span window, model::JobId job) {
+convex::WindowCurves CurveCache::curves_for(const model::IntervalStore& store,
+                                            int num_processors,
+                                            model::IntervalStore::Span window,
+                                            model::JobId job, double cap) {
   PSS_REQUIRE(window.first != window.last, "empty placement window");
   if (entries_.size() < store.handle_space())
     entries_.resize(store.handle_space());
 
   out_.clear();
+  const bool capped = std::isfinite(cap);
+  util::CompensatedSum at_cap;
+  // No live load carries an id above the watermark.
+  const bool may_repeat = job <= store.max_job();
+  util::LazyLinearSum::Extent extent;
   // Rebuild buffers for this call only: every stale entry of the window
   // rebuilds through them, and they are freed on return, so no rebuild
   // buffer outlives the arrival.
   chen::CurveScratch rebuild;
   for (model::IntervalStore::Handle h = window.first; h != window.last;
        h = store.next_handle(h)) {
-    PSS_REQUIRE(store.load_of(h, job) == 0.0,
+    PSS_REQUIRE(!may_repeat || store.load_of(h, job) == 0.0,
                 "arriving job already holds load in its window");
-    out_.push_back(&entry_curve(store, num_processors, h, store.length_of(h),
-                                rebuild));
+    const util::PiecewiseLinear& curve =
+        entry_curve(store, num_processors, h, store.length_of(h), rebuild);
+    extent.add(&curve);
+    if (capped) at_cap.add(curve.eval(cap));
+    out_.push_back(&curve);
   }
-  return out_;
+  return {out_, extent, cap, at_cap.value()};
 }
 
 }  // namespace pss::core

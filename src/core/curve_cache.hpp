@@ -15,6 +15,12 @@
 // validation already catches — the structural cost on the cache is O(1).
 // Cached curves are derived state: a cold cache serves bitwise-identical
 // curves, so checkpoints never carry it.
+//
+// curves_for is the arrival's one walk over its window: while it validates
+// (or rebuilds) each curve it also makes the repeated-id check, gathers the
+// util::LazyLinearSum extent and sums the curves' values at the rejection
+// speed, so convex::water_fill_over_curves can decide most rejections
+// without walking the window again.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +28,7 @@
 #include <vector>
 
 #include "chen/insertion_curve.hpp"
+#include "convex/water_fill.hpp"
 #include "model/interval_store.hpp"
 #include "util/piecewise_linear.hpp"
 
@@ -39,18 +46,27 @@ class CurveCache {
   void reset();
 
   /// Per-interval insertion curves for the intervals of `window`, in time
-  /// order, for placing the arriving job `job`. Entries whose epoch and
-  /// length still match the store are served as hits; stale entries
-  /// rebuild and re-cache, so refinements between calls need no
-  /// notification. PD never re-places a job, so `job` must hold no load in
-  /// the window (std::invalid_argument otherwise — a repeated job id):
-  /// every cached curve is the all-loads curve. The span views a reused
-  /// member buffer — no per-call allocation on the hot path — and stays
-  /// valid until the next call. The slab grows lazily with the store's
-  /// handle space.
-  [[nodiscard]] std::span<const util::PiecewiseLinear* const> curves_for(
+  /// order, for placing the arriving job `job` under the speed cap `cap`,
+  /// gathered in one walk over the window that also yields what
+  /// convex::water_fill_over_curves needs: the curves' LazyLinearSum
+  /// extent and, when `cap` is finite, the compensated sum of their values
+  /// at it. Entries whose epoch and length still match
+  /// the store are served as hits; stale entries rebuild and re-cache, so
+  /// refinements between calls need no notification.
+  ///
+  /// PD never re-places a job, so `job` must hold no load in the window
+  /// (std::invalid_argument otherwise — a repeated job id): every cached
+  /// curve is the all-loads curve. The load lists are searched only when
+  /// `job` is at most the store's max_job() watermark, so while ids rise
+  /// the check reads none; no live load carries a larger id, so the
+  /// refusals are the same.
+  ///
+  /// The result views reused member buffers — no per-call allocation on the
+  /// hot path — and stays valid until the next call. The slab grows lazily
+  /// with the store's handle space.
+  [[nodiscard]] convex::WindowCurves curves_for(
       const model::IntervalStore& store, int num_processors,
-      model::IntervalStore::Span window, model::JobId job);
+      model::IntervalStore::Span window, model::JobId job, double cap);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

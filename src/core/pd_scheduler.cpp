@@ -81,22 +81,24 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   const double s_reject = rejection_speed(job.value, job.work, alpha, delta_);
 
   // Water-fill the job over its window's insertion curves up to the
-  // rejection speed; no placement means the cap was hit first. A job id
-  // that already holds load in the window is refused here, before any
-  // commit (std::invalid_argument).
-  const auto curves =
-      cache_.curves_for(state_.store, machine_.num_processors, window, job.id);
-  const auto placement =
-      convex::water_fill_over_curves(curves, job.work, s_reject,
-                                     cache_.sum_scratch());
+  // rejection speed; no placement means the cap was hit first. One walk
+  // over the window gathers the curves and their values at the cap, which
+  // decide most rejections on their own. A job id that already holds load
+  // in the window is refused here, before any commit (std::invalid_argument).
+  const convex::WindowCurves curves = cache_.curves_for(
+      state_.store, machine_.num_processors, window, job.id, s_reject);
+  const auto placement = convex::water_fill_over_curves(curves, job.work,
+                                                        cache_.sum_scratch());
 
   ArrivalDecision decision;
   if (placement.has_value()) {
-    // Line 11(a): full workload placed at uniform own-speed s*.
+    // Line 11(a): full workload placed at uniform own-speed s*. The job
+    // holds no load in the window (curves_for checked), so each share is
+    // appended without a search.
     std::size_t i = 0;
     for (model::IntervalStore::Handle h = window.first; h != window.last;
          h = state_.store.next_handle(h))
-      state_.store.set_load(h, job.id, placement->amounts[i++]);
+      state_.store.append_load(h, job.id, placement->amounts[i++]);
     const double level = placement->speed;
     decision.accepted = true;
     decision.speed = level;
@@ -117,7 +119,8 @@ ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   counters_.curve_cache_rebuilds = cache_.stats().rebuilds;
   counters_.max_intervals =
       std::max(counters_.max_intervals, state_.num_intervals());
-  counters_.max_window = std::max(counters_.max_window, curves.size());
+  counters_.max_window =
+      std::max(counters_.max_window, curves.curves.size());
   if (record_decisions_) decisions_.push_back({job.id, decision});
   return decision;
 }

@@ -12,6 +12,7 @@ void IntervalStore::clear() {
   payload_.clear();
   free_.clear();
   head_ = tail_ = kNoHandle;
+  max_job_ = kNoJob;
   end_ = 0.0;
   lone_boundary_.reset();
 }
@@ -169,6 +170,16 @@ void IntervalStore::set_load(Handle h, JobId job, double amount) {
   else
     loads.push_back({job, amount});
   ++payload_[h].epoch;
+  max_job_ = std::max(max_job_, job);
+}
+
+void IntervalStore::append_load(Handle h, JobId job, double amount) {
+  PSS_REQUIRE(std::size_t(h) < payload_.size(), "interval handle out of range");
+  PSS_REQUIRE(amount >= 0.0, "load must be nonnegative");
+  if (amount == 0.0) return;
+  payload_[h].loads.push_back({job, amount});
+  ++payload_[h].epoch;
+  max_job_ = std::max(max_job_, job);
 }
 
 double IntervalStore::interval_total(Handle h) const {

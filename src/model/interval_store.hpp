@@ -21,6 +21,13 @@
 // compaction), so next_handle, start_of and end_of are O(1) array reads.
 // The map is read only to turn a boundary time into a handle.
 //
+// The store also keeps a job watermark, max_job(): the largest id ever
+// given a nonzero load since clear(). Nothing lowers it, so no live load
+// carries a larger id, and an arrival above it (every arrival, while ids
+// rise) needs no load-list search to prove it is not a repeated id. It is
+// derived from the loads, never serialized: a restore that replays the
+// loads through set_load rebuilds a watermark that is just as sound.
+//
 // The arithmetic of a split (the proportional load division) replicates
 // WorkAssignment::split_interval operation for operation, so a scheduler
 // running on this store commits bitwise-identical decisions to one running
@@ -30,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -116,6 +124,17 @@ class IntervalStore {
   [[nodiscard]] double load_of(Handle h, JobId job) const;
   /// Replaces `job`'s load in the interval (0 removes); bumps the epoch.
   void set_load(Handle h, JobId job, double amount);
+  /// set_load for a job that holds no load in the interval (the caller
+  /// has established that), without set_load's search of the load list:
+  /// appends the load and bumps the epoch; 0 is a no-op, as in set_load.
+  void append_load(Handle h, JobId job, double amount);
+  /// Watermark of the job ids in the store: the largest id given a nonzero
+  /// load since clear() (kNoJob if none). Removals, splits and compaction
+  /// leave it as is, so no live load carries a larger id — a job above it
+  /// holds no load anywhere, which makes the repeated-id check O(1) while
+  /// ids rise.
+  [[nodiscard]] JobId max_job() const { return max_job_; }
+  static constexpr JobId kNoJob = std::numeric_limits<JobId>::min();
   [[nodiscard]] std::uint64_t epoch(Handle h) const {
     return payload_[h].epoch;
   }
@@ -153,6 +172,7 @@ class IntervalStore {
   std::vector<Handle> free_;        // retired handles, reused LIFO
   Handle head_ = kNoHandle;         // first interval in time order
   Handle tail_ = kNoHandle;         // last interval in time order
+  JobId max_job_ = kNoJob;          // see max_job()
   double end_ = 0.0;                // end of the last interval (back boundary)
   std::optional<double> lone_boundary_;  // bootstrap: one boundary, no interval
 };

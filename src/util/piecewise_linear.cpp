@@ -109,17 +109,26 @@ std::optional<double> PiecewiseLinear::first_at_least(double y) const {
   return knots_.back().x + (y - knots_.back().y) / final_slope_;
 }
 
-LazyLinearSum::LazyLinearSum(std::span<const PiecewiseLinear* const> fns,
-                             Scratch& scratch)
-    : fns_(fns), scratch_(scratch) {
-  PSS_REQUIRE(!fns.empty(), "sum of zero functions");
-  front_ = fns.front() ? fns.front()->domain_start() : 0.0;
-  for (const PiecewiseLinear* f : fns) {
-    PSS_REQUIRE(f != nullptr && !f->empty(), "summand is empty");
-    PSS_REQUIRE(f->domain_start() == front_,
-                "summands must share a domain start");
-    back_ = std::max(back_, f->knots().back().x);
+void LazyLinearSum::Extent::add(const PiecewiseLinear* f) {
+  PSS_REQUIRE(f != nullptr && !f->empty(), "summand is empty");
+  const double start = f->knots().front().x;
+  const double last = f->knots().back().x;
+  if (count_++ == 0) {
+    front_ = start;
+    back_ = last;
+    return;
   }
+  PSS_REQUIRE(start == front_, "summands must share a domain start");
+  back_ = std::max(back_, last);
+}
+
+LazyLinearSum::LazyLinearSum(std::span<const PiecewiseLinear* const> fns,
+                             const Extent& extent, Scratch& scratch)
+    : fns_(fns), front_(extent.front()), back_(extent.back()),
+      scratch_(scratch) {
+  PSS_REQUIRE(!fns.empty(), "sum of zero functions");
+  PSS_REQUIRE(extent.count() == fns.size(),
+              "extent gathered over other summands");
   // eval is exact for any hint, so values an earlier view left behind are
   // harmless; bracket() sets the ones the bracket-end sums use.
   scratch_.hints.resize(fns.size());

@@ -88,7 +88,9 @@ class PiecewiseLinear {
 /// water-filling inversion needs — one eval at the speed cap, one monotone
 /// search for the level. The bracket search records each summand's
 /// upper_index, so evaluating the sum at the bracket's ends costs O(1) per
-/// summand rather than another binary search.
+/// summand rather than another binary search. Construction does not walk
+/// the summands: the caller hands in their Extent, gathered during a walk
+/// it makes anyway (core::CurveCache::curves_for).
 ///
 /// Query arithmetic mirrors sum() followed by eval()/first_at_least() on
 /// the materialized total knot for knot (same summand order, same
@@ -105,11 +107,28 @@ class LazyLinearSum {
     std::vector<std::uint32_t> hints;  // summand upper_index at the bracket
   };
 
-  /// `fns` must be nonempty, all non-null and non-empty, sharing a domain
-  /// start (the same preconditions as PiecewiseLinear::sum). The summands
-  /// and `scratch` must outlive the view, and `scratch` must serve no other
-  /// live view.
-  LazyLinearSum(std::span<const PiecewiseLinear* const> fns, Scratch& scratch);
+  /// Shared domain start and last union knot of a summand set, gathered
+  /// one summand at a time. add() runs the view's preconditions on each
+  /// summand (non-null, non-empty, the first summand's domain start), so
+  /// a walk over the summands that the caller makes anyway carries them.
+  class Extent {
+   public:
+    void add(const PiecewiseLinear* f);
+    [[nodiscard]] std::size_t count() const { return count_; }
+    [[nodiscard]] double front() const { return front_; }
+    [[nodiscard]] double back() const { return back_; }
+
+   private:
+    std::size_t count_ = 0;  // summands added
+    double front_ = 0.0;     // shared domain start
+    double back_ = 0.0;      // last union knot
+  };
+
+  /// `fns` must be nonempty and `extent` gathered over exactly `fns`. The
+  /// summands and `scratch` must outlive the view, and `scratch` must
+  /// serve no other live view.
+  LazyLinearSum(std::span<const PiecewiseLinear* const> fns,
+                const Extent& extent, Scratch& scratch);
 
   /// Sum of the summands at x, interpolated between the union knots
   /// bracketing x exactly as eval() on the materialized total would.

@@ -7,15 +7,18 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "chen/interval_schedule.hpp"
 #include "convex/brute_force.hpp"
+#include "core/pd_scheduler.hpp"
 #include "core/reference_pd.hpp"
 #include "core/rejection.hpp"
 #include "core/run.hpp"
+#include "io/state_io.hpp"
 #include "model/power.hpp"
 #include "model/schedule.hpp"
 #include "util/math.hpp"
@@ -173,6 +176,48 @@ TEST(PdScheduler, RepeatedJobIdIsRefusedAndCommittedWorkSurvives) {
   EXPECT_EQ(pd.assignment().total_of(0), 2.0);
   EXPECT_EQ(pd.assignment().total_of(1), 1.0);
   EXPECT_EQ(pd.counters().arrivals, 2);
+}
+
+// The repeated-id check reads load lists only for ids at or below the
+// store's watermark, the largest id committed so far; ids need not rise.
+// Unique ids below the watermark are placed and repeats below it refused,
+// also after a checkpoint round trip (the restore rebuilds the watermark
+// from the loads); reset() starts over; and an id whose loads were all
+// compacted away is placed again.
+TEST(PdScheduler, RepeatedIdCheckHoldsBelowTheWatermark) {
+  const Machine machine{1, 2.0};
+  core::PdScheduler pd(machine);
+  for (const model::JobId id : {10, 3, 7})
+    EXPECT_TRUE(pd.on_arrival(Job{id, 0.0, 4.0, 1.0, util::kInf}).accepted);
+  EXPECT_THROW(pd.on_arrival(Job{3, 1.0, 3.0, 1.0, util::kInf}),
+               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(pd.assignment().total_of(3), 1.0);
+
+  std::stringstream blob;
+  io::save_scheduler(blob, pd);
+  core::PdScheduler restored(machine);
+  io::load_scheduler(blob, restored);
+  for (const model::JobId id : {10, 7})
+    EXPECT_THROW(restored.on_arrival(Job{id, 1.0, 3.0, 1.0, util::kInf}),
+                 std::invalid_argument);
+  EXPECT_TRUE(
+      restored.on_arrival(Job{11, 1.0, 3.0, 1.0, util::kInf}).accepted);
+
+  core::PdScheduler recycled(machine);
+  ASSERT_TRUE(
+      recycled.on_arrival(Job{0, 0.0, 4.0, 1.0, util::kInf}).accepted);
+  recycled.reset();
+  EXPECT_TRUE(
+      recycled.on_arrival(Job{0, 0.0, 4.0, 1.0, util::kInf}).accepted);
+
+  core::PdScheduler compacted(machine);
+  ASSERT_TRUE(
+      compacted.on_arrival(Job{5, 0.0, 1.0, 1.0, util::kInf}).accepted);
+  compacted.advance_to(2.0, /*compact=*/true);
+  ASSERT_EQ(compacted.live_intervals(), 0u);
+  EXPECT_TRUE(
+      compacted.on_arrival(Job{5, 2.0, 3.0, 1.0, util::kInf}).accepted);
+  EXPECT_DOUBLE_EQ(compacted.assignment().total_of(5), 1.0);
 }
 
 // ------------------------------------------------------------ ReferencePd

@@ -6,13 +6,15 @@
 //   * horizon extension to the right (t > hi appends intervals),
 //   * the prepend path (t < lo in ensure_boundary, reachable through the
 //     1e-12 release-order tolerance and by driving OnlineState directly).
-// Plus direct unit tests of CurveCache epoch/handle validation, of in-place
-// curve rebuilds, and of LazyLinearSum against the materialized sum.
+// Plus direct unit tests of CurveCache epoch/handle validation and of its
+// one-walk gather, of in-place curve rebuilds, of LazyLinearSum against the
+// materialized sum, and of the water fill's certified cap test.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chen/insertion_curve.hpp"
@@ -25,6 +27,7 @@
 #include "model/interval_store.hpp"
 #include "model/time_partition.hpp"
 #include "util/math.hpp"
+#include "util/pairwise_sum.hpp"
 #include "util/piecewise_linear.hpp"
 #include "util/random.hpp"
 
@@ -45,6 +48,14 @@ IntervalStore::Handle handle_at(const IntervalStore& store, std::size_t pos) {
   IntervalStore::Handle h = store.front_handle();
   for (; pos > 0; --pos) h = store.next_handle(h);
   return h;
+}
+
+// The LazyLinearSum extent of `curves`, gathered in a walk of its own.
+util::LazyLinearSum::Extent extent_of(
+    std::span<const util::PiecewiseLinear* const> curves) {
+  util::LazyLinearSum::Extent extent;
+  for (const util::PiecewiseLinear* curve : curves) extent.add(curve);
+  return extent;
 }
 
 // The id of an arriving job that holds no load anywhere in these tests.
@@ -177,7 +188,10 @@ TEST(CacheInvalidation, OnlineStatePrependKeepsCacheAligned) {
   state.store.set_load(handle_at(state.store, 1), 8, 0.5);
 
   const auto before =
-      cache.curves_for(state.store, 2, state.store.span(1.0, 3.0), kNewJob);
+      cache
+          .curves_for(state.store, 2, state.store.span(1.0, 3.0), kNewJob,
+                      util::kInf)
+          .curves;
   const std::vector<util::PiecewiseLinear::Knot> knots0 = before[0]->knots();
   ASSERT_EQ(cache.stats().rebuilds, 2);
 
@@ -188,7 +202,10 @@ TEST(CacheInvalidation, OnlineStatePrependKeepsCacheAligned) {
   EXPECT_EQ(state.store.load_of(handle_at(state.store, 1), 7), 1.5);
 
   const auto after =
-      cache.curves_for(state.store, 2, state.store.span(0.5, 3.0), kNewJob);
+      cache
+          .curves_for(state.store, 2, state.store.span(0.5, 3.0), kNewJob,
+                      util::kInf)
+          .curves;
   // Only the new leading interval needed a build; the shifted entries hit.
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 2);
@@ -214,16 +231,17 @@ TEST(CurveCache, EpochInvalidationOnSetLoad) {
 
   CurveCache cache;
   const IntervalStore::Span window = store.span(0.0, 3.0);
-  (void)cache.curves_for(store, 2, window, kNewJob);
+  (void)cache.curves_for(store, 2, window, kNewJob, util::kInf);
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 0);
 
-  (void)cache.curves_for(store, 2, window, kNewJob);
+  (void)cache.curves_for(store, 2, window, kNewJob, util::kInf);
   EXPECT_EQ(cache.stats().rebuilds, 3);
   EXPECT_EQ(cache.stats().hits, 3);
 
   store.set_load(handle_at(store, 1), 3, 0.25);  // dirties interval 1 only
-  const auto curves = cache.curves_for(store, 2, window, kNewJob);
+  const auto curves =
+      cache.curves_for(store, 2, window, kNewJob, util::kInf).curves;
   EXPECT_EQ(cache.stats().rebuilds, 4);
   EXPECT_EQ(cache.stats().hits, 5);
 
@@ -244,13 +262,15 @@ TEST(CurveCache, SplitInvalidatesBothHalves) {
   store.set_load(handle_at(store, 1), 2, 1.0);
 
   CurveCache cache;
-  (void)cache.curves_for(store, 1, store.span(0.0, 4.0), kNewJob);
+  (void)cache.curves_for(store, 1, store.span(0.0, 4.0), kNewJob,
+                         util::kInf);
   ASSERT_EQ(cache.stats().rebuilds, 2);
 
   // Split interval 0 at half its length; both halves must rebuild, the
   // shifted old interval 1 must not.
   ASSERT_EQ(store.ensure_boundary(1.0), IntervalStore::Refinement::kSplit);
-  (void)cache.curves_for(store, 1, store.span(0.0, 4.0), kNewJob);
+  (void)cache.curves_for(store, 1, store.span(0.0, 4.0), kNewJob,
+                         util::kInf);
   EXPECT_EQ(cache.stats().rebuilds, 4);
   EXPECT_EQ(cache.stats().hits, 1);
 }
@@ -263,15 +283,49 @@ TEST(CurveCache, RefusesAJobThatAlreadyHoldsLoad) {
   CurveCache cache;
   // PD never re-places a job: an arrival whose id already holds load in
   // its window is a repeated id, refused before any curve is handed out.
-  EXPECT_THROW((void)cache.curves_for(store, 2, store.span(0.0, 3.0), 5),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)cache.curves_for(store, 2, store.span(0.0, 3.0), 5, util::kInf),
+      std::invalid_argument);
   // A window that misses the earlier job's load is fine, and the refusal
   // left the cache serving all-loads curves.
-  EXPECT_EQ(cache.curves_for(store, 2, store.span(0.0, 2.0), 5).size(), 1u);
-  const auto all = cache.curves_for(store, 2, store.span(0.0, 3.0), kNewJob);
+  EXPECT_EQ(
+      cache.curves_for(store, 2, store.span(0.0, 2.0), 5, util::kInf)
+          .curves.size(),
+      1u);
+  const auto all =
+      cache.curves_for(store, 2, store.span(0.0, 3.0), kNewJob, util::kInf)
+          .curves;
   const auto expected_all = chen::insertion_curve({1.0, 4.0}, 2, 1.0);
   EXPECT_EQ(all[1]->eval(1.0), expected_all.eval(1.0));
   EXPECT_EQ(all[1]->eval(3.0), expected_all.eval(3.0));
+}
+
+// One walk hands the water fill everything it needs: the curves, their
+// LazyLinearSum extent, and the sum of their values at a finite cap (0 at
+// an infinite one).
+TEST(CurveCache, GathersTheExtentAndTheValuesAtTheCap) {
+  IntervalStore store = make_store({0.0, 1.0, 2.5, 3.0});
+  store.set_load(handle_at(store, 0), 1, 2.0);
+  store.set_load(handle_at(store, 1), 2, 1.0);
+  store.set_load(handle_at(store, 1), 3, 4.0);
+  CurveCache cache;
+  const IntervalStore::Span window = store.span(0.0, 3.0);
+  for (const double cap : {0.25, 1.5, 40.0}) {
+    const auto gathered = cache.curves_for(store, 2, window, kNewJob, cap);
+    ASSERT_EQ(gathered.curves.size(), 3u);
+    EXPECT_EQ(gathered.cap, cap);
+    const auto extent = extent_of(gathered.curves);
+    EXPECT_EQ(gathered.extent.count(), 3u);
+    EXPECT_EQ(gathered.extent.front(), extent.front());
+    EXPECT_EQ(gathered.extent.back(), extent.back());
+    util::CompensatedSum sum;
+    for (const util::PiecewiseLinear* curve : gathered.curves)
+      sum.add(curve->eval(cap));
+    EXPECT_EQ(gathered.sum_at_cap, sum.value());
+  }
+  const auto uncapped = cache.curves_for(store, 2, window, kNewJob, util::kInf);
+  EXPECT_EQ(uncapped.curves.size(), 3u);
+  EXPECT_EQ(uncapped.sum_at_cap, 0.0);
 }
 
 // The same curve, bit for bit: knots and final slope.
@@ -332,7 +386,7 @@ TEST(LazyLinearSum, MatchesMaterializedSumEverywhere) {
     std::vector<const util::PiecewiseLinear*> ptrs;
     for (const auto& c : curves) ptrs.push_back(&c);
     util::LazyLinearSum::Scratch scratch;
-    const util::LazyLinearSum lazy(ptrs, scratch);
+    const util::LazyLinearSum lazy(ptrs, extent_of(ptrs), scratch);
 
     EXPECT_EQ(lazy.final_slope(), total.final_slope());
     for (int probe = 0; probe < 50; ++probe) {
@@ -377,9 +431,9 @@ TEST(LazyLinearSum, MatchesReferenceWaterFill) {
         store.set_load(handle_at(store, k), load.job, load.amount);
     CurveCache cache;
     const auto curves = cache.curves_for(
-        store, m, store.span(bounds.front(), bounds.back()), 7);
+        store, m, store.span(bounds.front(), bounds.back()), 7, cap);
     const auto fast =
-        convex::water_fill_over_curves(curves, work, cap, cache.sum_scratch());
+        convex::water_fill_over_curves(curves, work, cache.sum_scratch());
 
     ASSERT_EQ(reference.has_value(), fast.has_value()) << "trial " << trial;
     if (!reference.has_value()) continue;
@@ -389,6 +443,77 @@ TEST(LazyLinearSum, MatchesReferenceWaterFill) {
       EXPECT_EQ(reference->amounts[i], fast->amounts[i])
           << "trial " << trial << " interval " << i;
   }
+}
+
+// --------------------------------------------------- certified cap test
+
+// The water fill decides the cap test on S, the compensated sum of the
+// curves' values at the cap, unless S lies within 1e-9 of the work; only
+// then does it evaluate the exact Z(cap). A work of exactly Z(cap) or one
+// ulp to either side lies inside that margin, so it must take the exact
+// fallback and decide, and place, as the stateless reference does. Only
+// instances where S and the exact value differ in bits are kept: there,
+// deciding on S alone, or with a margin of the wrong sign, flips one of
+// the three decisions.
+TEST(WaterFillOverCurves, ExactFallbackDecidesAtTheCap) {
+  util::Rng rng(2024);
+  int differing = 0;
+  for (int trial = 0; trial < 2000 && differing < 40; ++trial) {
+    const int m = int(rng.uniform_int(1, 4));
+    const std::size_t num_intervals = std::size_t(rng.uniform_int(3, 40));
+    std::vector<double> bounds{0.0};
+    for (std::size_t k = 0; k < num_intervals; ++k)
+      bounds.push_back(bounds.back() + rng.uniform(0.3, 2.0));
+    const auto partition = model::TimePartition::from_boundaries(bounds);
+    model::WorkAssignment assignment(num_intervals);
+    IntervalStore store = make_store(bounds);
+    for (std::size_t k = 0; k < num_intervals; ++k)
+      for (int j = 0; j < 5; ++j)
+        if (rng.bernoulli(0.5)) {
+          const double amount = rng.uniform(0.1, 3.0);
+          assignment.set_load(k, 100 + j, amount);
+          store.set_load(handle_at(store, k), 100 + j, amount);
+        }
+    const double cap = rng.uniform(0.3, 4.0);
+    const model::IntervalRange window{0, num_intervals};
+    const IntervalStore::Span span = store.span(bounds.front(), bounds.back());
+
+    // S and the exact Z(cap) as the water fill computes them.
+    CurveCache cache;
+    const auto gathered = cache.curves_for(store, m, span, 7, cap);
+    const double sum_at_cap = gathered.sum_at_cap;
+    util::LazyLinearSum::Scratch scratch;
+    const double exact =
+        util::LazyLinearSum(gathered.curves, gathered.extent, scratch)
+            .eval(cap);
+    if (!(exact > 0.0) || std::bit_cast<std::uint64_t>(sum_at_cap) ==
+                              std::bit_cast<std::uint64_t>(exact))
+      continue;
+    ++differing;
+    EXPECT_LT(std::abs(sum_at_cap - exact), 1e-12 * exact);
+
+    const double below = std::nextafter(exact, 0.0);
+    const double above = std::nextafter(exact, util::kInf);
+    for (const double work : {below, exact, above}) {
+      SCOPED_TRACE(testing::Message()
+                   << "trial " << trial << " work - exact " << work - exact);
+      const auto reference =
+          convex::water_fill(assignment, partition, m, window, work, cap, 7);
+      const auto fast = convex::water_fill_over_curves(
+          cache.curves_for(store, m, span, 7, cap), work,
+          cache.sum_scratch());
+      EXPECT_EQ(fast.has_value(), work != above);
+      ASSERT_EQ(reference.has_value(), fast.has_value());
+      if (!reference.has_value()) continue;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(reference->speed),
+                std::bit_cast<std::uint64_t>(fast->speed));
+      ASSERT_EQ(reference->amounts.size(), fast->amounts.size());
+      for (std::size_t i = 0; i < reference->amounts.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(reference->amounts[i]),
+                  std::bit_cast<std::uint64_t>(fast->amounts[i]));
+    }
+  }
+  EXPECT_EQ(differing, 40);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "stream/engine.hpp"
 #include "stream/replay.hpp"
 #include "stream/session_table.hpp"
+#include "util/math.hpp"
 
 namespace {
 
@@ -540,6 +541,23 @@ TEST(SessionTable, SpillKeepsResidencyAtBudgetAndResultsBitwise) {
   }
   EXPECT_EQ(budgeted.num_open(), 0u);
   EXPECT_EQ(budgeted.num_spilled(), 0u);
+}
+
+// A spill restore goes through load_scheduler, which rebuilds the store's
+// job watermark from the restored loads: a repeated id is still refused.
+TEST(SessionTable, RepeatedJobIdIsRefusedAfterSpillRestore) {
+  ingest::SpillOptions spill;
+  spill.max_resident = 1;
+  stream::SessionTable table(kMachine, {}, false, spill);
+  const model::Job first{10, 0.0, 4.0, 1.0, util::kInf};
+  ASSERT_TRUE(table.feed(StreamId(0), first).accepted);
+  ASSERT_TRUE(table.feed(StreamId(1), first).accepted);  // spills stream 0
+  ASSERT_EQ(table.num_spills(), 1);
+  EXPECT_THROW(table.feed(StreamId(0), {10, 1.0, 3.0, 1.0, util::kInf}),
+               std::invalid_argument);
+  EXPECT_EQ(table.num_spill_restores(), 1);
+  EXPECT_TRUE(
+      table.feed(StreamId(0), {3, 1.0, 3.0, 1.0, util::kInf}).accepted);
 }
 
 TEST(SessionTable, CheckpointBytesAreSpillInvariant) {

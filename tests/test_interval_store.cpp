@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/online_state.hpp"
@@ -160,6 +161,56 @@ TEST(IntervalStore, SetLoadMatchesWorkAssignmentSemantics) {
   store.set_load(h, 3, 0.0);  // zero for an absent job is a silent no-op
   EXPECT_EQ(store.epoch(h), epoch + 1);
   EXPECT_THROW(store.set_load(h, 1, -1.0), std::invalid_argument);
+}
+
+// The job watermark bounds every live id from above: nonzero loads, set or
+// appended, raise it; zero loads, removals, splits and compaction leave it;
+// clear() starts it over.
+TEST(IntervalStore, JobWatermarkBoundsEveryLiveId) {
+  IntervalStore store;
+  for (double t : {0.0, 1.0, 2.0}) store.ensure_boundary(t);
+  EXPECT_EQ(store.max_job(), IntervalStore::kNoJob);
+  store.set_load(handle_at(store, 0), 4, 0.0);
+  store.append_load(handle_at(store, 0), 5, 0.0);
+  EXPECT_EQ(store.max_job(), IntervalStore::kNoJob);
+  store.set_load(handle_at(store, 0), 10, 1.0);
+  store.append_load(handle_at(store, 1), 3, 1.0);
+  EXPECT_EQ(store.max_job(), 10);
+  store.set_load(handle_at(store, 0), 10, 0.0);
+  EXPECT_EQ(store.max_job(), 10);
+  ASSERT_EQ(store.ensure_boundary(0.5), IntervalStore::Refinement::kSplit);
+  store.append_load(handle_at(store, 0), 12, 1.0);
+  std::vector<IntervalStore::Handle> freed;
+  ASSERT_EQ(store.compact_before(1.0, freed), 2u);
+  EXPECT_EQ(store.max_job(), 12);
+  store.clear();
+  EXPECT_EQ(store.max_job(), IntervalStore::kNoJob);
+}
+
+// append_load is set_load for a job the interval does not hold: the same
+// load list and epoch, zero a no-op, negative refused.
+TEST(IntervalStore, AppendLoadIsSetLoadForAnAbsentJob) {
+  IntervalStore set;
+  IntervalStore appended;
+  for (IntervalStore* store : {&set, &appended}) {
+    store->ensure_boundary(0.0);
+    store->ensure_boundary(1.0);
+  }
+  const auto h = handle_at(set, 0);
+  ASSERT_EQ(handle_at(appended, 0), h);
+  for (const auto& [job, amount] :
+       std::vector<std::pair<model::JobId, double>>{{1, 2.0}, {2, 0.0},
+                                                    {3, 0.5}}) {
+    set.set_load(h, job, amount);
+    appended.append_load(h, job, amount);
+    EXPECT_EQ(appended.epoch(h), set.epoch(h));
+  }
+  ASSERT_EQ(appended.loads(h).size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(appended.loads(h)[i].job, set.loads(h)[i].job);
+    EXPECT_EQ(appended.loads(h)[i].amount, set.loads(h)[i].amount);
+  }
+  EXPECT_THROW(appended.append_load(h, 4, -1.0), std::invalid_argument);
 }
 
 TEST(IntervalStore, SnapshotsMatchContiguousTypes) {

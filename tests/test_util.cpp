@@ -258,6 +258,28 @@ TEST(PairwiseSum, MatchesRecursiveOracleForEveryLength) {
   }
 }
 
+// The carry keeps what each rounded addition drops: a thousand terms of
+// 2^-60 added to 1 give 1 + 1000 * 2^-60 rounded once, in either order,
+// where a plain running sum drops every one of them and returns 1.0.
+TEST(CompensatedSum, KeepsWhatARunningSumRoundsAway) {
+  const double tiny = std::ldexp(1.0, -60);
+  util::CompensatedSum front;
+  util::CompensatedSum back;
+  double plain = 1.0;
+  front.add(1.0);
+  for (int i = 0; i < 1000; ++i) {
+    front.add(tiny);
+    back.add(tiny);
+    plain += tiny;
+  }
+  back.add(1.0);
+  const double exact = 1.0 + 1000.0 * tiny;
+  EXPECT_EQ(plain, 1.0);
+  expect_same_bits(front.value(), exact);
+  expect_same_bits(back.value(), exact);
+  EXPECT_EQ(util::CompensatedSum{}.value(), 0.0);
+}
+
 // ---------------------------------------------------------------- parallel
 
 TEST(Parallel, ParallelForCoversRangeOnce) {
