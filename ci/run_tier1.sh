@@ -19,7 +19,7 @@ rm -rf "${BUILD_DIR}"
 
 # Tier-1, verbatim (plus the clean-tree dir and the warning gate):
 cmake -B "${BUILD_DIR}" -S . -DPSS_WERROR=ON
-cmake --build "${BUILD_DIR}" -j
+cmake --build "${BUILD_DIR}" -j "$(nproc)"
 cd "${BUILD_DIR}" && ctest --output-on-failure -j
 
 # Suite-registration gate: every tests/test_*.cpp must be discovered and
@@ -167,14 +167,16 @@ echo "docs-consistency: OK (all emitted BENCH_*.json schemas documented)"
 # validation of hostile bytes (test_io), the stream engine end to end, the
 # curve cache's in-place rebuilds and hinted knot walks (test_incremental,
 # test_util), fractional PD on the contiguous representation
-# (test_fractional), and the PdScheduler / ReferencePd unit suites
+# (test_fractional), the PdScheduler / ReferencePd unit suites
 # (test_core, without the Theorem 3 lower-bound cases, which are too slow
-# under ASan).
+# under ASan), and the differential's cross-commit bit pins and
+# underflowed-rejection-speed cases (test_differential, filtered: the
+# full suite is too slow under ASan).
 cd "${ROOT}"
 SAN_DIR="${BUILD_DIR}-asan"
 rm -rf "${SAN_DIR}"
 cmake -B "${SAN_DIR}" -S . -DPSS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug > /dev/null
-cmake --build "${SAN_DIR}" -j --target test_compaction test_stream test_interval_store test_recovery test_io test_incremental test_util test_fractional test_core
+cmake --build "${SAN_DIR}" -j "$(nproc)" --target test_compaction test_stream test_interval_store test_recovery test_io test_incremental test_util test_fractional test_core test_differential
 cd "${SAN_DIR}"
 UBSAN_OPTIONS=halt_on_error=1 ./test_compaction > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_stream > /dev/null
@@ -185,7 +187,8 @@ UBSAN_OPTIONS=halt_on_error=1 ./test_incremental > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_util > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_fractional > /dev/null
 UBSAN_OPTIONS=halt_on_error=1 ./test_core '--gtest_filter=-Theorem3*' > /dev/null
-echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/io/incremental/util/fractional/core suites)"
+UBSAN_OPTIONS=halt_on_error=1 ./test_differential '--gtest_filter=BitPin.*:*Underflow*' > /dev/null
+echo "sanitizers: OK (ASan+UBSan clean on compaction/restore/stream/recovery/io/incremental/util/fractional/core suites and the differential's bit pins and underflow cases)"
 
 # ThreadSanitizer pass over the concurrent surface: the MPSC rings, the
 # producer handles, the shutdown gate and the engine/ingest suites that
@@ -197,7 +200,7 @@ if echo 'int main(){return 0;}' | g++ -x c++ -fsanitize=thread -o /tmp/pss_tsan_
   TSAN_DIR="${BUILD_DIR}-tsan"
   rm -rf "${TSAN_DIR}"
   cmake -B "${TSAN_DIR}" -S . -DPSS_SANITIZE=thread -DCMAKE_BUILD_TYPE=Debug > /dev/null
-  cmake --build "${TSAN_DIR}" -j --target test_engine test_stream test_ingest
+  cmake --build "${TSAN_DIR}" -j "$(nproc)" --target test_engine test_stream test_ingest
   cd "${TSAN_DIR}"
   TSAN_OPTIONS=halt_on_error=1 ./test_engine > /dev/null
   TSAN_OPTIONS=halt_on_error=1 ./test_stream > /dev/null

@@ -49,12 +49,11 @@ struct Placement {
 
 /// A placement window's insertion curves as one walk over the window
 /// gathers them (core::CurveCache::curves_for): the curves in time order,
-/// their LazyLinearSum extent, the speed cap, and S, the sum of the curves'
-/// values at the cap (util::CompensatedSum over curves[i]->eval(cap); 0
-/// when the cap is +infinity).
+/// the speed cap, and S, the sum of the curves' values at the cap
+/// (util::CompensatedSum over curves[i]->eval(cap); 0 when the cap is
+/// +infinity).
 struct WindowCurves {
   std::span<const util::PiecewiseLinear* const> curves;
-  util::LazyLinearSum::Extent extent;
   double cap = 0.0;
   double sum_at_cap = 0.0;
 };
@@ -76,7 +75,11 @@ struct WindowCurves {
 /// tree, 2 for S's compensated sum. That is far inside the 1e-9 margin for
 /// any W below the store's 2^32 handles, so a certified answer is the exact
 /// one, and a rejected arrival costs no walk beyond the one that gathered
-/// the window. Decision-identical to the stateless reference above (see
+/// the window. The view (whose construction walks the curves and checks
+/// each) is built only once S has failed to reject: on accepts, uncapped
+/// calls and the exact fallback. A cap of 0 (an underflowed rejection
+/// speed) rejects through the same test, as Z(0) = 0 < work.
+/// Decision-identical to the stateless reference above (see
 /// tests/test_differential.cpp).
 [[nodiscard]] std::optional<Placement> water_fill_over_curves(
     const WindowCurves& window, double work,

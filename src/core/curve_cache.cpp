@@ -26,16 +26,19 @@ const util::PiecewiseLinear& CurveCache::entry_curve(
     model::IntervalStore::Handle h, double length,
     chen::CurveScratch& rebuild) {
   Entry& entry = entries_[h];
-  if (entry.built && entry.epoch == store.epoch(h) &&
-      entry.length == length) {
+  // An unbuilt entry has length 0.0, which no interval has.
+  if (entry.epoch == store.epoch(h) && entry.length == length) {
     ++stats_.hits;
   } else {
-    entry.built = false;  // a throwing rebuild leaves no entry that validates
+    entry.length = 0.0;  // a throwing rebuild leaves no entry that validates
     chen::rebuild_insertion_curve(entry.curve, store.loads(h), -1,
                                   num_processors, length, rebuild);
+    // Every Chen curve starts at s = 0, so the walk's one cap check stands
+    // in for each skipped eval's domain check.
+    PSS_CHECK(entry.curve.domain_start() == 0.0,
+              "insertion curve must start at zero speed");
     entry.epoch = store.epoch(h);
     entry.length = length;
-    entry.built = true;
     ++stats_.rebuilds;
   }
   return entry.curve;
@@ -51,10 +54,12 @@ convex::WindowCurves CurveCache::curves_for(const model::IntervalStore& store,
 
   out_.clear();
   const bool capped = std::isfinite(cap);
+  // Every curve's domain starts at 0 (entry_curve), so this is each
+  // eval(cap)'s domain check, made once.
+  if (capped) PSS_REQUIRE(cap >= -1e-12, "x below domain start");
   util::CompensatedSum at_cap;
   // No live load carries an id above the watermark.
   const bool may_repeat = job <= store.max_job();
-  util::LazyLinearSum::Extent extent;
   // Rebuild buffers for this call only: every stale entry of the window
   // rebuilds through them, and they are freed on return, so no rebuild
   // buffer outlives the arrival.
@@ -65,11 +70,13 @@ convex::WindowCurves CurveCache::curves_for(const model::IntervalStore& store,
                 "arriving job already holds load in its window");
     const util::PiecewiseLinear& curve =
         entry_curve(store, num_processors, h, store.length_of(h), rebuild);
-    extent.add(&curve);
-    if (capped) at_cap.add(curve.eval(cap));
+    // A curve still zero at the cap adds +0.0, which leaves both of the
+    // sum's accumulators as they are (they are never -0.0), so it is
+    // skipped without reading its knots.
+    if (capped && !(cap <= curve.zero_until())) at_cap.add(curve.eval(cap));
     out_.push_back(&curve);
   }
-  return {out_, extent, cap, at_cap.value()};
+  return {out_, cap, at_cap.value()};
 }
 
 }  // namespace pss::core

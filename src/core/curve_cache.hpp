@@ -17,10 +17,13 @@
 // curves, so checkpoints never carry it.
 //
 // curves_for is the arrival's one walk over its window: while it validates
-// (or rebuilds) each curve it also makes the repeated-id check, gathers the
-// util::LazyLinearSum extent and sums the curves' values at the rejection
-// speed, so convex::water_fill_over_curves can decide most rejections
-// without walking the window again.
+// (or rebuilds) each curve it also makes the repeated-id check and sums the
+// curves' values at the rejection speed, so convex::water_fill_over_curves
+// can decide most rejections without walking the window again. A curve
+// that is still zero at that speed (the new job would not yet beat the
+// interval's pool speed; util::PiecewiseLinear::zero_until) adds nothing
+// and is skipped on the entry alone, without touching its knot array —
+// on rejection-heavy streams that is most steps of the walk.
 #pragma once
 
 #include <cstdint>
@@ -47,12 +50,12 @@ class CurveCache {
 
   /// Per-interval insertion curves for the intervals of `window`, in time
   /// order, for placing the arriving job `job` under the speed cap `cap`,
-  /// gathered in one walk over the window that also yields what
-  /// convex::water_fill_over_curves needs: the curves' LazyLinearSum
-  /// extent and, when `cap` is finite, the compensated sum of their values
-  /// at it. Entries whose epoch and length still match
-  /// the store are served as hits; stale entries rebuild and re-cache, so
-  /// refinements between calls need no notification.
+  /// gathered in one walk over the window that also yields the cap test's
+  /// input for convex::water_fill_over_curves: when `cap` is finite, the
+  /// compensated sum of the curves' values at it (curves zero at the cap
+  /// skipped, bitwise the same sum). Entries whose epoch and length still
+  /// match the store are served as hits; stale entries rebuild and
+  /// re-cache, so refinements between calls need no notification.
   ///
   /// PD never re-places a job, so `job` must hold no load in the window
   /// (std::invalid_argument otherwise — a repeated job id): every cached
@@ -82,12 +85,16 @@ class CurveCache {
   void on_compacted(const std::vector<model::IntervalStore::Handle>& freed);
 
  private:
+  // length 0.0 marks an unbuilt entry: every interval has positive length
+  // (the curve build requires it), so such an entry never validates.
   struct Entry {
-    bool built = false;
     std::uint64_t epoch = 0;
     double length = 0.0;
     util::PiecewiseLinear curve;
   };
+  // The slab holds an entry per store handle, so its size shows in peak
+  // RSS: keep it at 56 B.
+  static_assert(sizeof(Entry) <= 56);
 
   // The all-loads curve of `h` (of the given length) from its slab entry,
   // rebuilt in place through `rebuild` when the entry's epoch or length no

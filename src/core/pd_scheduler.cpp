@@ -64,6 +64,7 @@ void PdScheduler::reset() {
 ArrivalDecision PdScheduler::on_arrival(const model::Job& job) {
   PSS_REQUIRE(job.deadline > job.release, "bad job window");
   PSS_REQUIRE(job.work > 0.0, "job work must be positive");
+  PSS_REQUIRE(job.value > 0.0, "job value must be positive");
   PSS_REQUIRE(!first_arrival_
                   ? job.release >=
                         last_release_ - util::clock_tol(last_release_)

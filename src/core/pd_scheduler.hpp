@@ -161,11 +161,13 @@ class PdScheduler {
   PdScheduler(model::Machine machine, PdOptions options = {});
 
   /// Processes one arrival and commits the decision. Throws
-  /// std::invalid_argument, committing nothing, for a malformed job, a
-  /// release behind the clock, or a job id that already holds load in the
-  /// window (PD never re-places a job). A refused arrival may leave its
-  /// two boundaries in the partition; refinement does not change the
-  /// schedule (Section 3).
+  /// std::invalid_argument, committing nothing, for a malformed job (an
+  /// empty window, or a work or value that is not positive; +infinity is a
+  /// value), a release behind the clock, or a job id that already holds
+  /// load in the window (PD never re-places a job). A refused arrival may
+  /// leave its two boundaries in the partition; refinement does not change
+  /// the schedule (Section 3). A legal value whose rejection speed
+  /// underflows to 0 is rejected like any other (lambda = value).
   ArrivalDecision on_arrival(const model::Job& job);
 
   /// Advances the release-order monotonicity clock to t without an arrival

@@ -57,6 +57,7 @@ ReferencePd::ReferencePd(model::Machine machine, std::optional<double> delta)
 ArrivalDecision ReferencePd::on_arrival(const model::Job& job) {
   PSS_REQUIRE(job.deadline > job.release, "bad job window");
   PSS_REQUIRE(job.work > 0.0, "job work must be positive");
+  PSS_REQUIRE(job.value > 0.0, "job value must be positive");
   PSS_REQUIRE(first_arrival_ ||
                   job.release >= last_release_ - util::clock_tol(last_release_),
               "jobs must arrive in nondecreasing release order");

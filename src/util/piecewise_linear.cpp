@@ -1,6 +1,7 @@
 #include "util/piecewise_linear.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -20,6 +21,7 @@ void PiecewiseLinear::assign(std::span<const Knot> knots,
   PSS_REQUIRE(!knots.empty(), "piecewise-linear function needs >= 1 knot");
   PSS_REQUIRE(final_slope >= 0.0, "final slope must be nonnegative");
   final_slope_ = final_slope;
+  zero_until_ = -std::numeric_limits<double>::infinity();  // if a check throws
   knots_.clear();
   knots_.reserve(knots.size());  // exact: a no-op unless it must grow
   for (const Knot& k : knots) {
@@ -40,6 +42,14 @@ void PiecewiseLinear::assign(std::span<const Knot> knots,
     }
     knots_.push_back(k);
   }
+  // The zero prefix (header), read off the merged and clamped knots.
+  std::size_t run = 0;
+  while (run < knots_.size() &&
+         std::bit_cast<std::uint64_t>(knots_[run].y) == 0)
+    ++run;
+  if (run == knots_.size() && !std::isfinite(final_slope_)) --run;
+  zero_until_ = run == 0 ? -std::numeric_limits<double>::infinity()
+                         : knots_[run - 1].x;
 }
 
 PiecewiseLinear PiecewiseLinear::zero() {
@@ -109,26 +119,22 @@ std::optional<double> PiecewiseLinear::first_at_least(double y) const {
   return knots_.back().x + (y - knots_.back().y) / final_slope_;
 }
 
-void LazyLinearSum::Extent::add(const PiecewiseLinear* f) {
-  PSS_REQUIRE(f != nullptr && !f->empty(), "summand is empty");
-  const double start = f->knots().front().x;
-  const double last = f->knots().back().x;
-  if (count_++ == 0) {
-    front_ = start;
-    back_ = last;
-    return;
-  }
-  PSS_REQUIRE(start == front_, "summands must share a domain start");
-  back_ = std::max(back_, last);
-}
-
 LazyLinearSum::LazyLinearSum(std::span<const PiecewiseLinear* const> fns,
-                             const Extent& extent, Scratch& scratch)
-    : fns_(fns), front_(extent.front()), back_(extent.back()),
-      scratch_(scratch) {
+                             Scratch& scratch)
+    : fns_(fns), scratch_(scratch) {
   PSS_REQUIRE(!fns.empty(), "sum of zero functions");
-  PSS_REQUIRE(extent.count() == fns.size(),
-              "extent gathered over other summands");
+  for (std::size_t i = 0; i < fns.size(); ++i) {
+    PSS_REQUIRE(fns[i] != nullptr && !fns[i]->empty(), "summand is empty");
+    const auto& knots = fns[i]->knots();
+    if (i == 0) {
+      front_ = knots.front().x;
+      back_ = knots.back().x;
+      continue;
+    }
+    PSS_REQUIRE(knots.front().x == front_,
+                "summands must share a domain start");
+    back_ = std::max(back_, knots.back().x);
+  }
   // eval is exact for any hint, so values an earlier view left behind are
   // harmless; bracket() sets the ones the bracket-end sums use.
   scratch_.hints.resize(fns.size());

@@ -10,10 +10,31 @@
 // increasing, linear interpolation in between, and a final slope that
 // extends the last segment to +infinity. The domain starts at the first
 // knot's x.
+//
+// Zero prefix. assign() also records zero_until(), the x up to which the
+// function is exactly +0.0: the x of the last knot in the leading run of
+// knots whose y is +0.0 by bit pattern (-0.0 ends the run), or -infinity
+// when the first knot's y is not +0.0. If the run reaches the last knot,
+// that knot counts only when the final slope is finite. For every x in
+// [domain start - 1e-12, zero_until()], eval(x) and eval(x, hint) return
+// +0.0, because each of eval's branches does there:
+//   * x <= the first knot: the stored first y, +0.0;
+//   * x >= the last knot: then x is that knot, which is in the run only
+//     with a finite final slope s, so y + s*(x - x) = 0 + (+-0.0) = +0.0
+//     (with s = inf, inf*0 would be NaN; hence the exclusion);
+//   * strictly inside: interpolate(i, x) with knots[i-1].x <= x, so
+//     knots[i-1] is in the run and lo.y = +0.0; t = (x - lo.x)/(hi.x - lo.x)
+//     is finite and >= 0 (the differences of knots of one sign, such as a
+//     curve on [0, inf), cannot overflow), and hi.y - lo.y is +0.0 (hi in
+//     the run) or the finite hi.y (x is the run's last knot, so t = +0.0);
+//     the result is 0 + t*(finite) = 0 + (+-0.0) = +0.0.
+// A caller summing values at one x may therefore skip a function with
+// x <= zero_until() without reading its knots (core::CurveCache does).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -70,12 +91,17 @@ class PiecewiseLinear {
   [[nodiscard]] double domain_start() const;
   [[nodiscard]] bool empty() const { return knots_.empty(); }
 
+  /// End of the zero prefix (header): eval is +0.0 on [domain start,
+  /// zero_until()]. -infinity when there is none (or no knots).
+  [[nodiscard]] double zero_until() const { return zero_until_; }
+
  private:
   // Linear interpolation on the segment [knots_[i - 1], knots_[i]).
   [[nodiscard]] double interpolate(std::size_t i, double x) const;
 
   std::vector<Knot> knots_;
   double final_slope_ = 0.0;
+  double zero_until_ = -std::numeric_limits<double>::infinity();
 };
 
 /// Lazy pointwise sum over a fixed set of summands.
@@ -88,9 +114,9 @@ class PiecewiseLinear {
 /// water-filling inversion needs — one eval at the speed cap, one monotone
 /// search for the level. The bracket search records each summand's
 /// upper_index, so evaluating the sum at the bracket's ends costs O(1) per
-/// summand rather than another binary search. Construction does not walk
-/// the summands: the caller hands in their Extent, gathered during a walk
-/// it makes anyway (core::CurveCache::curves_for).
+/// summand rather than another binary search. convex::
+/// water_fill_over_curves builds a view only for arrivals its cap test did
+/// not reject on its own, so a rejection costs no walk of the view's.
 ///
 /// Query arithmetic mirrors sum() followed by eval()/first_at_least() on
 /// the materialized total knot for knot (same summand order, same
@@ -107,28 +133,12 @@ class LazyLinearSum {
     std::vector<std::uint32_t> hints;  // summand upper_index at the bracket
   };
 
-  /// Shared domain start and last union knot of a summand set, gathered
-  /// one summand at a time. add() runs the view's preconditions on each
-  /// summand (non-null, non-empty, the first summand's domain start), so
-  /// a walk over the summands that the caller makes anyway carries them.
-  class Extent {
-   public:
-    void add(const PiecewiseLinear* f);
-    [[nodiscard]] std::size_t count() const { return count_; }
-    [[nodiscard]] double front() const { return front_; }
-    [[nodiscard]] double back() const { return back_; }
-
-   private:
-    std::size_t count_ = 0;  // summands added
-    double front_ = 0.0;     // shared domain start
-    double back_ = 0.0;      // last union knot
-  };
-
-  /// `fns` must be nonempty and `extent` gathered over exactly `fns`. The
-  /// summands and `scratch` must outlive the view, and `scratch` must
-  /// serve no other live view.
+  /// `fns` must be nonempty, every summand non-null and non-empty, and
+  /// all share a domain start; construction walks them once to check
+  /// that and find the last union knot. The summands and `scratch` must
+  /// outlive the view, and `scratch` must serve no other live view.
   LazyLinearSum(std::span<const PiecewiseLinear* const> fns,
-                const Extent& extent, Scratch& scratch);
+                Scratch& scratch);
 
   /// Sum of the summands at x, interpolated between the union knots
   /// bracketing x exactly as eval() on the materialized total would.

@@ -24,7 +24,8 @@
 // stress the Section-3 refinement machinery, wide windows from one
 // interval to the full horizon, a refinement torture with tolerance
 // prepends, an accept-heavy long-horizon family, recycled (reset())
-// schedulers, and fractional PD at an underflowed rejection speed.
+// schedulers, and fractional and integral PD at an underflowed rejection
+// speed.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -454,6 +455,43 @@ TEST_P(PdDifferential, UnderflowedRejectionSpeedFractionalInstances) {
   }
 }
 
+// The same stream through integral PD: a zero rejection speed is a cap
+// like any other, so both engines reject such a job with lambda = v
+// (Listing 1, line 12), bitwise alike.
+TEST_P(PdDifferential, UnderflowedRejectionSpeedIntegralInstances) {
+  const DiffParam param = GetParam();
+  const Machine machine{param.m, param.alpha};
+  util::Rng rng(8800);
+  std::vector<model::Job> jobs;
+  jobs.push_back({0, 0.0, 8.0, 2.0, util::kInf});
+  for (int i = 1; i < 16; ++i) {
+    const double release = 0.5 * double(i);
+    model::Job job{i, release, release + rng.uniform(1.0, 6.0),
+                   rng.uniform(0.5, 2.0), 1e-300};
+    if (i % 2 == 0)
+      job.value = workload::energy_fair_value(job, machine.alpha) *
+                  rng.uniform(0.5, 4.0);
+    jobs.push_back(job);
+  }
+  expect_engines_identical(model::make_instance(machine, jobs));
+  if (::testing::Test::HasFatalFailure()) return;
+  PdScheduler production(machine);
+  int underflowed = 0;
+  for (const model::Job& job : jobs) {
+    const auto decision = production.on_arrival(job);
+    if (core::rejection_speed(job.value, job.work, machine.alpha,
+                              production.delta()) != 0.0)
+      continue;
+    ++underflowed;
+    EXPECT_FALSE(decision.accepted) << job.to_string();
+    EXPECT_EQ(decision.speed, 0.0) << job.to_string();
+    EXPECT_EQ(decision.lambda, job.value) << job.to_string();
+  }
+  if (machine.alpha < 1.5) {
+    EXPECT_GT(underflowed, 0);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AlphaTimesProcessors, PdDifferential,
     ::testing::Values(DiffParam{1.1, 1}, DiffParam{1.1, 4}, DiffParam{1.1, 16},
@@ -464,6 +502,33 @@ INSTANTIATE_TEST_SUITE_P(
       return "alpha" + std::to_string(int(info.param.alpha * 10)) + "_m" +
              std::to_string(info.param.m);
     });
+
+// The smallest reproducer: at alpha = 1.1 a value of 1e-300 underflows the
+// rejection speed to 0, and both engines reject. A value that is not
+// positive is malformed, refused before any boundary is inserted.
+TEST(UnderflowedRejectionSpeed, BothEnginesRejectAndRefuseNonpositiveValues) {
+  const Machine machine{1, 1.1};
+  PdScheduler production(machine);
+  ReferencePd reference(machine);
+  const model::Job tiny{0, 0.0, 1.0, 1.0, 1e-300};
+  const auto a = reference.on_arrival(tiny);
+  const auto b = production.on_arrival(tiny);
+  EXPECT_FALSE(a.accepted);
+  EXPECT_FALSE(b.accepted);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.speed),
+            std::bit_cast<std::uint64_t>(b.speed));
+  EXPECT_EQ(b.speed, 0.0);
+  EXPECT_EQ(a.lambda, 1e-300);
+  EXPECT_EQ(b.lambda, 1e-300);
+  const std::size_t intervals = production.live_intervals();
+  for (const double value : {0.0, -1.0, std::nan("")}) {
+    SCOPED_TRACE(testing::Message() << "value " << value);
+    const model::Job bad{1, 2.0, 3.0, 1.0, value};
+    EXPECT_THROW((void)production.on_arrival(bad), std::invalid_argument);
+    EXPECT_THROW((void)reference.on_arrival(bad), std::invalid_argument);
+    EXPECT_EQ(production.live_intervals(), intervals);
+  }
+}
 
 // ------------------------------------------------ cross-commit bit pin
 //

@@ -7,14 +7,14 @@
 //   * the prepend path (t < lo in ensure_boundary, reachable through the
 //     1e-12 release-order tolerance and by driving OnlineState directly).
 // Plus direct unit tests of CurveCache epoch/handle validation and of its
-// one-walk gather, of in-place curve rebuilds, of LazyLinearSum against the
-// materialized sum, and of the water fill's certified cap test.
+// one-walk gather (curves zero at the cap skipped, bitwise), of in-place
+// curve rebuilds, of LazyLinearSum against the materialized sum, and of the
+// water fill's certified cap test and its late view.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "chen/insertion_curve.hpp"
@@ -48,14 +48,6 @@ IntervalStore::Handle handle_at(const IntervalStore& store, std::size_t pos) {
   IntervalStore::Handle h = store.front_handle();
   for (; pos > 0; --pos) h = store.next_handle(h);
   return h;
-}
-
-// The LazyLinearSum extent of `curves`, gathered in a walk of its own.
-util::LazyLinearSum::Extent extent_of(
-    std::span<const util::PiecewiseLinear* const> curves) {
-  util::LazyLinearSum::Extent extent;
-  for (const util::PiecewiseLinear* curve : curves) extent.add(curve);
-  return extent;
 }
 
 // The id of an arriving job that holds no load anywhere in these tests.
@@ -300,24 +292,19 @@ TEST(CurveCache, RefusesAJobThatAlreadyHoldsLoad) {
   EXPECT_EQ(all[1]->eval(3.0), expected_all.eval(3.0));
 }
 
-// One walk hands the water fill everything it needs: the curves, their
-// LazyLinearSum extent, and the sum of their values at a finite cap (0 at
-// an infinite one).
-TEST(CurveCache, GathersTheExtentAndTheValuesAtTheCap) {
+// One walk hands the water fill its cap test's input: the curves and the
+// sum of their values at a finite cap (0 at an infinite one).
+TEST(CurveCache, GathersTheValuesAtTheCap) {
   IntervalStore store = make_store({0.0, 1.0, 2.5, 3.0});
   store.set_load(handle_at(store, 0), 1, 2.0);
   store.set_load(handle_at(store, 1), 2, 1.0);
   store.set_load(handle_at(store, 1), 3, 4.0);
   CurveCache cache;
   const IntervalStore::Span window = store.span(0.0, 3.0);
-  for (const double cap : {0.25, 1.5, 40.0}) {
+  for (const double cap : {0.0, 0.25, 1.5, 40.0}) {
     const auto gathered = cache.curves_for(store, 2, window, kNewJob, cap);
     ASSERT_EQ(gathered.curves.size(), 3u);
     EXPECT_EQ(gathered.cap, cap);
-    const auto extent = extent_of(gathered.curves);
-    EXPECT_EQ(gathered.extent.count(), 3u);
-    EXPECT_EQ(gathered.extent.front(), extent.front());
-    EXPECT_EQ(gathered.extent.back(), extent.back());
     util::CompensatedSum sum;
     for (const util::PiecewiseLinear* curve : gathered.curves)
       sum.add(curve->eval(cap));
@@ -326,6 +313,117 @@ TEST(CurveCache, GathersTheExtentAndTheValuesAtTheCap) {
   const auto uncapped = cache.curves_for(store, 2, window, kNewJob, util::kInf);
   EXPECT_EQ(uncapped.curves.size(), 3u);
   EXPECT_EQ(uncapped.sum_at_cap, 0.0);
+  // Every cached curve starts at speed 0, so the walk checks the cap's
+  // domain once, for curves it skips as well as those it evaluates.
+  EXPECT_THROW((void)cache.curves_for(store, 2, window, kNewJob, -1e-6),
+               std::invalid_argument);
+}
+
+// The walk skips every curve still zero at the cap (util::PiecewiseLinear::
+// zero_until) without evaluating it. On windows that mix such curves with
+// curves that are positive at the cap, S must still be bitwise the
+// compensated sum over every curve's eval(cap), in window order.
+TEST(CurveCache, SkippingCurvesZeroAtTheCapKeepsTheSumBitwise) {
+  util::Rng rng(2468);
+  int skipped = 0;
+  int evaluated = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int m = int(rng.uniform_int(1, 4));
+    const std::size_t num_intervals = std::size_t(rng.uniform_int(1, 30));
+    std::vector<double> bounds{0.0};
+    for (std::size_t k = 0; k < num_intervals; ++k)
+      bounds.push_back(bounds.back() + rng.uniform(0.1, 2.0));
+    IntervalStore store = make_store(bounds);
+    for (std::size_t k = 0; k < num_intervals; ++k) {
+      // Heavy intervals keep their curve at zero up to a high pool speed.
+      const double scale = rng.bernoulli(0.5) ? 20.0 : 1.0;
+      for (int j = 0; j < 2 * m; ++j)
+        if (rng.bernoulli(0.7))
+          store.set_load(handle_at(store, k), 100 + j,
+                         scale * rng.uniform(0.05, 2.0));
+    }
+    CurveCache cache;
+    const IntervalStore::Span span = store.span(bounds.front(), bounds.back());
+    for (int probe = 0; probe < 4; ++probe) {
+      const double cap =
+          probe == 0 ? 0.0 : std::pow(10.0, rng.uniform(-2.0, 1.5));
+      const auto gathered = cache.curves_for(store, m, span, kNewJob, cap);
+      util::CompensatedSum sum;
+      for (const util::PiecewiseLinear* curve : gathered.curves) {
+        sum.add(curve->eval(cap));
+        (cap <= curve->zero_until() ? skipped : evaluated) += 1;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(gathered.sum_at_cap),
+                std::bit_cast<std::uint64_t>(sum.value()))
+          << "trial " << trial << " cap " << cap;
+    }
+  }
+  EXPECT_GT(skipped, 1000);
+  EXPECT_GT(evaluated, 1000);
+}
+
+// An entry validates on (epoch, length), and an unbuilt entry holds length
+// 0.0, which no interval has. So an entry is never served before its first
+// build: not for a fresh handle at epoch 0, where only the length tells the
+// unbuilt entry from a built one, nor for the handles a compaction freed
+// once they are recycled (through a split or an append); the compaction's
+// survivors keep hitting.
+TEST(CurveCache, UnbuiltEntryNeverValidates) {
+  IntervalStore store = make_store({0.0, 1.0});
+  const IntervalStore::Handle fresh = store.front_handle();
+  ASSERT_EQ(store.epoch(fresh), 0u);
+  CurveCache cache;
+  const auto first =
+      cache.curves_for(store, 2, store.span(0.0, 1.0), kNewJob, 0.5);
+  EXPECT_EQ(cache.stats().rebuilds, 1);
+  EXPECT_EQ(cache.stats().hits, 0);
+  ASSERT_EQ(first.curves.size(), 1u);
+  EXPECT_FALSE(first.curves[0]->empty());
+  (void)cache.curves_for(store, 2, store.span(0.0, 1.0), kNewJob, 0.5);
+  EXPECT_EQ(cache.stats().hits, 1);
+
+  // Grow to four loaded intervals and cache them all.
+  for (const double t : {2.0, 3.0, 4.0}) (void)store.ensure_boundary(t);
+  for (std::size_t k = 0; k < 4; ++k)
+    store.set_load(handle_at(store, k), int(k), 1.0 + double(k));
+  (void)cache.curves_for(store, 2, store.span(0.0, 4.0), kNewJob, 0.5);
+  ASSERT_EQ(cache.stats().rebuilds, 5);
+
+  // Compact the first two away; the cache releases their entries.
+  std::vector<IntervalStore::Handle> freed;
+  ASSERT_EQ(store.compact_before(2.0, freed), 2u);
+  cache.on_compacted(freed);
+  // The survivors still hit.
+  const long long hits = cache.stats().hits;
+  (void)cache.curves_for(store, 2, store.span(2.0, 4.0), kNewJob, 0.5);
+  EXPECT_EQ(cache.stats().rebuilds, 5);
+  EXPECT_EQ(cache.stats().hits, hits + 2);
+
+  // Recycle both freed handles: one as the right half of a split, one by
+  // an append. Each is built on first use, and matches a cold build.
+  ASSERT_EQ(store.ensure_boundary(2.5), IntervalStore::Refinement::kSplit);
+  ASSERT_EQ(store.ensure_boundary(5.0), IntervalStore::Refinement::kAppend);
+  int recycled = 0;
+  for (IntervalStore::Handle h = store.front_handle();
+       h != IntervalStore::kNoHandle; h = store.next_handle(h))
+    for (const IntervalStore::Handle f : freed) recycled += h == f;
+  ASSERT_EQ(recycled, 2);
+  const auto after =
+      cache.curves_for(store, 2, store.span(2.0, 5.0), kNewJob, 0.5);
+  // Both split halves, the append, and none of the untouched interval.
+  EXPECT_EQ(cache.stats().rebuilds, 5 + 3);
+  std::size_t i = 0;
+  for (IntervalStore::Handle h = store.front_handle();
+       h != IntervalStore::kNoHandle; h = store.next_handle(h), ++i) {
+    SCOPED_TRACE(testing::Message() << "interval " << i);
+    const auto cold =
+        chen::insertion_curve(store.loads(h), -1, 2, store.length_of(h));
+    ASSERT_EQ(after.curves[i]->knots().size(), cold.knots().size());
+    for (std::size_t j = 0; j < cold.knots().size(); ++j) {
+      EXPECT_EQ(after.curves[i]->knots()[j].x, cold.knots()[j].x);
+      EXPECT_EQ(after.curves[i]->knots()[j].y, cold.knots()[j].y);
+    }
+  }
 }
 
 // The same curve, bit for bit: knots and final slope.
@@ -386,7 +484,7 @@ TEST(LazyLinearSum, MatchesMaterializedSumEverywhere) {
     std::vector<const util::PiecewiseLinear*> ptrs;
     for (const auto& c : curves) ptrs.push_back(&c);
     util::LazyLinearSum::Scratch scratch;
-    const util::LazyLinearSum lazy(ptrs, extent_of(ptrs), scratch);
+    const util::LazyLinearSum lazy(ptrs, scratch);
 
     EXPECT_EQ(lazy.final_slope(), total.final_slope());
     for (int probe = 0; probe < 50; ++probe) {
@@ -484,8 +582,7 @@ TEST(WaterFillOverCurves, ExactFallbackDecidesAtTheCap) {
     const double sum_at_cap = gathered.sum_at_cap;
     util::LazyLinearSum::Scratch scratch;
     const double exact =
-        util::LazyLinearSum(gathered.curves, gathered.extent, scratch)
-            .eval(cap);
+        util::LazyLinearSum(gathered.curves, scratch).eval(cap);
     if (!(exact > 0.0) || std::bit_cast<std::uint64_t>(sum_at_cap) ==
                               std::bit_cast<std::uint64_t>(exact))
       continue;
@@ -514,6 +611,39 @@ TEST(WaterFillOverCurves, ExactFallbackDecidesAtTheCap) {
     }
   }
   EXPECT_EQ(differing, 40);
+}
+
+// The water fill builds its LazyLinearSum view, whose construction checks
+// every curve, only once S has failed to reject: a rejection on S alone
+// never reads the curves, while a placement, an uncapped call or the exact
+// fallback runs every check (here: curves that do not share a domain
+// start).
+TEST(WaterFillOverCurves, ChecksTheCurvesOnlyPastTheRejectionTest) {
+  const auto a = util::PiecewiseLinear::from_knots({{0.0, 0.0}, {1.0, 1.0}},
+                                                   1.0);
+  const auto b = util::PiecewiseLinear::from_knots({{0.5, 0.0}, {1.0, 1.0}},
+                                                   1.0);
+  const std::vector<const util::PiecewiseLinear*> curves{&a, &b};
+  util::LazyLinearSum::Scratch scratch;
+  EXPECT_FALSE(convex::water_fill_over_curves({curves, 1.0, 0.5}, 1.0,
+                                              scratch)
+                   .has_value());
+  EXPECT_THROW((void)convex::water_fill_over_curves({curves, 1.0, 2.0}, 1.0,
+                                                    scratch),
+               std::invalid_argument);
+  EXPECT_THROW((void)convex::water_fill_over_curves({curves, 1.0, 1.0}, 1.0,
+                                                    scratch),
+               std::invalid_argument);
+  EXPECT_THROW((void)convex::water_fill_over_curves({curves, util::kInf, 0.0},
+                                                    1.0, scratch),
+               std::invalid_argument);
+  // A zero cap (an underflowed rejection speed) rejects: Z(0) = 0 < work.
+  const std::vector<const util::PiecewiseLinear*> one{&a};
+  EXPECT_FALSE(
+      convex::water_fill_over_curves({one, 0.0, 0.0}, 1.0, scratch).has_value());
+  EXPECT_THROW((void)convex::water_fill_over_curves({one, -1.0, 0.0}, 1.0,
+                                                    scratch),
+               std::invalid_argument);
 }
 
 }  // namespace

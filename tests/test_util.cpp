@@ -233,6 +233,118 @@ TEST(PiecewiseLinear, AssignInPlaceMatchesFromKnots) {
   }
 }
 
+// ------------------------------------------------------------ zero prefix
+
+// The answer a caller that trusts zero_until() uses: +0.0 up to it, eval
+// beyond. eval(x) and eval(x, hint) for every hint must give it bit for
+// bit at every knot, at zero_until() and one ulp to either side, and
+// between knots.
+void expect_zero_prefix_holds(const PiecewiseLinear& f) {
+  const auto& k = f.knots();
+  const double z = f.zero_until();
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < k.size(); ++i) {
+    xs.push_back(k[i].x);
+    if (i + 1 < k.size()) {
+      xs.push_back(0.5 * (k[i].x + k[i + 1].x));
+      xs.push_back(k[i].x + 0.01 * (k[i + 1].x - k[i].x));
+    }
+  }
+  xs.push_back(k.back().x + 0.5);
+  if (std::isfinite(z)) {
+    xs.push_back(z);
+    xs.push_back(std::nextafter(z, util::kInf));
+    // One ulp below the front is still inside eval's domain tolerance.
+    xs.push_back(std::nextafter(z, -util::kInf));
+  }
+  for (const double x : xs) {
+    const double fast = x <= z ? 0.0 : f.eval(x);
+    SCOPED_TRACE(testing::Message() << "x " << x << " zero_until " << z);
+    expect_same_bits(f.eval(x), fast);
+    for (std::size_t hint = 0; hint <= k.size() + 1; ++hint)
+      expect_same_bits(f.eval(x, hint), fast);
+  }
+}
+
+TEST(PiecewiseLinear, ZeroPrefixEdgeCases) {
+  const double inf = util::kInf;
+  const double neg_inf = -inf;
+  struct Case {
+    std::vector<PiecewiseLinear::Knot> knots;
+    double slope;
+    double zero_until;
+  };
+  const std::vector<Case> cases{
+      // No prefix at all.
+      {{{0.0, 1.0}, {1.0, 2.0}}, 1.0, neg_inf},
+      // -0.0 does not count: not as the first knot, and it ends a run.
+      {{{0.0, -0.0}, {1.0, 0.0}, {2.0, 1.0}}, 1.0, neg_inf},
+      {{{0.0, 0.0}, {1.0, -0.0}, {2.0, 1.0}}, 1.0, 0.0},
+      {{{0.0, 0.0}, {1.0, 0.0}, {2.0, -0.0}, {3.0, 2.0}}, 1.0, 1.0},
+      // Merged duplicate x: the larger y is kept, and it ends the run.
+      {{{0.0, 0.0}, {1.0, 0.0}, {1.0, 2.0}, {3.0, 4.0}}, 1.0, 0.0},
+      {{{0.0, 0.0}, {0.0, 0.0}, {1.0, 0.0}, {2.0, 3.0}}, 1.0, 1.0},
+      // A dip within the tolerance is clamped to +0.0 and extends the run.
+      {{{0.0, 0.0}, {1.0, -1e-12}, {2.0, 1.0}}, 1.0, 1.0},
+      // The prefix reaches the last knot: kept for a finite final slope.
+      {{{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}}, 0.0, 2.0},
+      {{{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}}, 0.5, 2.0},
+      {{{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}}, inf, 1.0},
+      {{{0.0, 0.0}}, 0.0, 0.0},
+      {{{0.0, 0.0}}, inf, neg_inf},
+      // An insertion-curve shape: zero until the pool speed, then rising.
+      {{{0.0, 0.0}, {0.5, 0.0}, {1.5, 0.75}, {4.0, 3.0}}, 1.0, 0.5},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE(testing::Message() << "case " << c);
+    const auto f = PiecewiseLinear::from_knots(cases[c].knots, cases[c].slope);
+    expect_same_bits(f.zero_until(), cases[c].zero_until);
+    expect_zero_prefix_holds(f);
+  }
+  // With an infinite final slope, eval at the last knot is NaN (inf * 0):
+  // that is why such a knot is left out of the prefix.
+  const auto steep = PiecewiseLinear::from_knots({{0.0, 0.0}, {1.0, 0.0}}, inf);
+  EXPECT_TRUE(std::isnan(steep.eval(1.0)));
+  // A default-constructed function has no prefix.
+  expect_same_bits(PiecewiseLinear().zero_until(), neg_inf);
+}
+
+TEST(PiecewiseLinear, ZeroPrefixHoldsOnRandomCurves) {
+  util::Rng rng(4711);
+  PiecewiseLinear reused;
+  int with_prefix = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    // A leading run of zero knots (sometimes -0.0), then rising knots,
+    // with a zero, finite or infinite final slope, over a domain that may
+    // start below 0.
+    const int zeros = int(rng.uniform_int(0, 5));
+    const int rising = int(rng.uniform_int(0, 5));
+    std::vector<PiecewiseLinear::Knot> knots;
+    double x = rng.uniform(-2.0, 2.0);
+    for (int i = 0; i < zeros; ++i) {
+      knots.push_back({x, rng.bernoulli(0.1) ? -0.0 : 0.0});
+      x += rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.05, 2.0);  // duplicates
+    }
+    double y = 0.0;
+    for (int i = 0; i < rising || knots.empty(); ++i) {
+      y += rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 3.0);
+      knots.push_back({x, y});
+      x += rng.uniform(0.05, 2.0);
+    }
+    const double draw = rng.uniform(0.0, 1.0);
+    const double slope =
+        draw < 0.2 ? 0.0 : draw < 0.4 ? util::kInf : rng.uniform(0.0, 2.0);
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const auto f = PiecewiseLinear::from_knots(knots, slope);
+    if (std::isfinite(f.zero_until())) ++with_prefix;
+    expect_zero_prefix_holds(f);
+    // An in-place rebuild over another curve's storage records the same.
+    reused.assign(knots, slope);
+    expect_same_bits(reused.zero_until(), f.zero_until());
+  }
+  EXPECT_GT(with_prefix, 100);
+}
+
 // ---------------------------------------------------------- pairwise sum
 
 // The canonical tree of util/pairwise_sum.hpp, recursed all the way down.
