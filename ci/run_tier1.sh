@@ -8,7 +8,8 @@
 #
 # Exits nonzero on any configure/build error, any compiler warning, any
 # ctest failure, a test file missing from the registered ctest suite, a
-# perf-smoke engine mismatch, or malformed bench JSON.
+# perf-smoke engine mismatch, malformed bench JSON, or a serving-benchmark
+# smoke run with wrong decisions or failed operations.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -158,6 +159,25 @@ for artifact in bench_results/BENCH_*.json; do
   fi
 done
 echo "docs-consistency: OK (all emitted BENCH_*.json schemas documented)"
+
+# Serving-benchmark smoke: no stage above builds e2ebench/serve_bench, which
+# compiles src/ in its own tree, so a broken signature it uses would
+# otherwise surface only when the benchmark runs. Build it and serve each
+# workload for a second; the last stdout line is the result JSON, which
+# must report correct decisions and no failed operations.
+cd "${ROOT}"
+E2E_DIR="${BUILD_DIR}-e2e"
+rm -rf "${E2E_DIR}"
+for workload in fanout_short deep_horizon skewed_spill; do
+  CARGO_TARGET_DIR="${E2E_DIR}" python3 e2ebench/run.py \
+    --workload "${workload}" --seed 7 --seconds 1 | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("FATAL: e2ebench %s: %s" % (sys.argv[1], result))
+' "${workload}"
+done
+echo "e2ebench-smoke: OK (fanout_short, deep_horizon, skewed_spill served correctly)"
 
 # Sanitizer pass: the compaction/checkpoint code paths relink the interval
 # store's payload slab, recycle handles and rebuild state from byte

@@ -4,10 +4,10 @@
 // split / extension counters PdCounters reports.
 //
 // The state lives in model::IntervalStore: stable interval handles, a
-// std::map from interval start to handle, and O(log n) refinement. Caches
-// keyed by handle need no structural mirroring: a split allocates a fresh
-// handle for the right half and bumps epochs, which the epoch/length
-// validation of CurveCache already detects. The contiguous O(n)
+// std::map from interval start to handle, O(log n) refinement, and each
+// interval's cached insertion curve with the fresh flag that every change
+// to its loads or length clears, so CurveCache::curves_for needs no
+// structural mirroring. The contiguous O(n)
 // transcription of the same refinement (core::refine_partition, in
 // core/reference_pd) is the state of core::ReferencePd and of
 // core::run_fractional_pd.

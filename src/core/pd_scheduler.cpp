@@ -42,10 +42,8 @@ void PdScheduler::compact_before(double frontier) {
   // planned_energy() continues from this accumulator in the same order, so
   // it reproduces the uncompacted sum bitwise.
   retired_energy_ = energy_through(frontier, retired_energy_);
-  freed_scratch_.clear();
-  const std::size_t retired = store.compact_before(frontier, freed_scratch_);
+  const std::size_t retired = store.compact_before(frontier);
   if (retired == 0) return;
-  cache_.on_compacted(freed_scratch_);
   ++counters_.compactions;
   counters_.compacted_intervals += static_cast<long long>(retired);
 }
@@ -54,7 +52,6 @@ void PdScheduler::reset() {
   state_ = OnlineState{};
   cache_.reset();
   decisions_.clear();
-  freed_scratch_.clear();
   counters_ = PdCounters{};
   retired_energy_ = 0.0;
   last_release_ = -1.0;

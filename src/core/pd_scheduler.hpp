@@ -175,7 +175,7 @@ class PdScheduler {
   /// a periodic heartbeat leaves the partition exactly as arrivals built
   /// it. With compact = true, additionally retires every interval ending at or
   /// before the frontier t - util::clock_tol(t): the retired prefix's
-  /// energy moves into retired_energy(), its store/cache state is
+  /// energy moves into retired_energy(), its loads and curves are
   /// reclaimed, and — because any future arrival has release within
   /// clock_tol of t or later — every subsequent decision is bitwise
   /// identical to the uncompacted run (tests/test_compaction.cpp).
@@ -238,7 +238,7 @@ class PdScheduler {
   friend void io::load_scheduler(std::istream&, core::PdScheduler&);
 
   /// Retires every interval ending at or before `frontier`: accumulates
-  /// their energy and reclaims their store and cache state.
+  /// their energy and reclaims their loads and curves.
   void compact_before(double frontier);
 
   /// `energy` plus the energies of the live non-empty intervals ending at
@@ -255,7 +255,6 @@ class PdScheduler {
   mutable model::TimePartition partition_snapshot_;
   mutable model::WorkAssignment assignment_snapshot_;
   std::vector<std::pair<model::JobId, ArrivalDecision>> decisions_;
-  std::vector<model::IntervalStore::Handle> freed_scratch_;  // compaction
   PdCounters counters_;
   double retired_energy_ = 0.0;
   double last_release_ = -1.0;

@@ -66,12 +66,17 @@ ArrivalDecision ReferencePd::on_arrival(const model::Job& job) {
   for (const double t : {job.release, job.deadline})
     if (refine_partition(partition_, assignment_, t) == Refinement::kSplit)
       ++interval_splits_;
+  // PD never re-places a job: an id that already holds load in the window
+  // is a repeated id, refused after the refinement as PdScheduler does.
+  const auto window = partition_.job_range(job);
+  for (std::size_t k = window.first; k < window.last; ++k)
+    PSS_REQUIRE(assignment_.load_of(k, job.id) == 0.0,
+                "arriving job already holds load in its window");
 
   // Lines 5-12: raise the job's loads across its window at equal marginal
   // cost until the work is placed (accept) or the marginal reaches v_j
   // (reject). Committed loads of earlier jobs stay where they are.
   const double alpha = machine_.alpha;
-  const auto window = partition_.job_range(job);
   const double s_reject = rejection_speed(job.value, job.work, alpha, delta_);
   const auto placement =
       convex::water_fill(assignment_, partition_, machine_.num_processors,

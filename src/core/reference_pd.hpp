@@ -42,7 +42,9 @@ class ReferencePd {
                        std::optional<double> delta = std::nullopt);
 
   /// Processes one arrival (nondecreasing release order, same checks and
-  /// tolerance as PdScheduler::on_arrival) and commits the decision.
+  /// tolerance as PdScheduler::on_arrival, a repeated id holding load in
+  /// the window refused after refinement as there) and commits the
+  /// decision.
   ArrivalDecision on_arrival(const model::Job& job);
 
   [[nodiscard]] double planned_energy() const;

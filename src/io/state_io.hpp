@@ -9,9 +9,9 @@
 // uninterrupted run.
 //
 // Derived state is deliberately NOT serialized: cached insertion curves
-// rebuild cold on first touch through the same epoch-validated code path
-// a live run uses, so a restore can only change cache-hit *counters*,
-// never a decision.
+// restore stale and rebuild on first touch through the same code path a
+// live run uses, so a restore can only change cache-hit *counters*, never
+// a decision.
 //
 // Wire format: little-endian fixed-width scalars, no padding, no varints.
 //   u8/u64/i64  — unsigned / two's-complement integers

@@ -20,12 +20,10 @@ void IntervalStore::clear() {
 IntervalStore::Handle IntervalStore::allocate(double start, Handle next) {
   Handle h;
   if (!free_.empty()) {
-    // Recycled slot. Its loads were cleared when the old tenant retired;
-    // the epoch keeps advancing so no cache entry from a previous tenant
-    // can ever validate against the new one.
+    // Recycled slot: its old tenant left it with no loads, no knots and a
+    // stale curve (compact_before).
     h = free_.back();
     free_.pop_back();
-    ++payload_[h].epoch;
   } else {
     PSS_REQUIRE(payload_.size() < std::size_t(kNoHandle),
                 "interval store full");
@@ -37,16 +35,15 @@ IntervalStore::Handle IntervalStore::allocate(double start, Handle next) {
   return h;
 }
 
-std::size_t IntervalStore::compact_before(double frontier,
-                                          std::vector<Handle>& freed) {
+std::size_t IntervalStore::compact_before(double frontier) {
   std::size_t retired = 0;
   while (head_ != kNoHandle && end_of(head_) <= frontier) {
     Payload& p = payload_[head_];
     p.loads.clear();
-    ++p.epoch;
+    p.curve = {};
+    p.fresh = false;
     index_.erase(index_.begin());  // the front interval's entry
     free_.push_back(head_);
-    freed.push_back(head_);
     ++retired;
     head_ = p.next;
   }
@@ -97,9 +94,8 @@ IntervalStore::Refinement IntervalStore::ensure_boundary(double t) {
 
   // Split the interval `at` = [lo, hi) at t. Same arithmetic as the
   // contiguous path: frac from the full interval, loads scaled by frac and
-  // (1 - frac), right half copies the epoch, then both epochs advance. A
-  // recycled right handle keeps its own epoch if that is larger, so it
-  // still comes back above every epoch of its previous tenant.
+  // (1 - frac). The right half comes stale from allocate; the left half
+  // lost length and load.
   const double lo = payload_[at].start;
   const double hi = end_of(at);
   const double frac = (t - lo) / (hi - lo);
@@ -112,9 +108,7 @@ IntervalStore::Refinement IntervalStore::ensure_boundary(double t) {
   right_payload.loads = left_payload.loads;
   for (Load& l : left_payload.loads) l.amount *= frac;
   for (Load& l : right_payload.loads) l.amount *= (1.0 - frac);
-  right_payload.epoch = std::max(right_payload.epoch, left_payload.epoch);
-  ++left_payload.epoch;
-  ++right_payload.epoch;
+  left_payload.fresh = false;
   return Refinement::kSplit;
 }
 
@@ -161,7 +155,7 @@ void IntervalStore::set_load(Handle h, JobId job, double amount) {
   if (amount == 0.0) {
     if (it != loads.end()) {
       loads.erase(it);
-      ++payload_[h].epoch;
+      payload_[h].fresh = false;
     }
     return;
   }
@@ -169,7 +163,7 @@ void IntervalStore::set_load(Handle h, JobId job, double amount) {
     it->amount = amount;
   else
     loads.push_back({job, amount});
-  ++payload_[h].epoch;
+  payload_[h].fresh = false;
   max_job_ = std::max(max_job_, job);
 }
 
@@ -178,7 +172,7 @@ void IntervalStore::append_load(Handle h, JobId job, double amount) {
   PSS_REQUIRE(amount >= 0.0, "load must be nonnegative");
   if (amount == 0.0) return;
   payload_[h].loads.push_back({job, amount});
-  ++payload_[h].epoch;
+  payload_[h].fresh = false;
   max_job_ = std::max(max_job_, job);
 }
 

@@ -4,22 +4,30 @@
 // The contiguous representation (TimePartition + WorkAssignment) pays O(n)
 // per refinement: inserting a boundary shifts the tail of a sorted
 // std::vector<double>, and the matching split/prepend shifts a
-// vector-of-vectors of loads plus its epoch array. This store keeps the
-// same state — interval boundaries, per-interval committed loads, and the
-// per-interval epoch counters the curve cache validates against — in a
-// payload slab addressed by handle, plus a std::map from interval start to
-// handle, so ensure_boundary and span are O(log n).
+// vector-of-vectors of loads. This store keeps the same state — interval
+// boundaries and per-interval committed loads — plus each interval's
+// cached insertion curve, in a payload slab addressed by handle, with a
+// std::map from interval start to handle, so ensure_boundary and span are
+// O(log n).
 //
 // Intervals are addressed by Handle only — a slab id fixed at creation.
-// Splits, appends and prepends never renumber existing handles, so
-// anything keyed by handle (cached insertion curves, most importantly)
-// survives every refinement untouched: a split allocates one fresh handle
-// for the right half and bumps the left half's epoch, and that is the
-// entire invalidation story. There are no positions: a placement window is
-// a Span of handles, walked in time order through the successor handle
-// every payload keeps (maintained by split / append / prepend /
-// compaction), so next_handle, start_of and end_of are O(1) array reads.
-// The map is read only to turn a boundary time into a handle.
+// Splits, appends and prepends never renumber existing handles. There are
+// no positions: a placement window is a Span of handles, walked in time
+// order through the successor handle every payload keeps (maintained by
+// split / append / prepend / compaction), so next_handle, start_of and
+// end_of are O(1) array reads. The map is read only to turn a boundary
+// time into a handle.
+//
+// Cached curves. PD never redistributes committed load (Listing 1, the
+// property behind Theorem 3), so an interval's insertion curve z_k(s)
+// (Eq. 5/6) changes only when its own loads or length change, and only
+// this store makes those changes. Each payload therefore carries the
+// interval's curve and a fresh flag; every such change clears the flag
+// (set_load and a nonzero append_load, both halves of a split, a newly
+// allocated or recycled handle), and the store builds no curve itself:
+// core::CurveCache::curves_for rebuilds a stale curve in place and marks
+// it fresh. Curves are derived state — a store whose curves are all stale
+// serves bitwise-identical curves — so checkpoints never carry them.
 //
 // The store also keeps a job watermark, max_job(): the largest id ever
 // given a nonzero load since clear(). Nothing lowers it, so no live load
@@ -44,6 +52,7 @@
 
 #include "model/time_partition.hpp"
 #include "model/work_assignment.hpp"
+#include "util/piecewise_linear.hpp"
 
 namespace pss::model {
 
@@ -77,18 +86,17 @@ class IntervalStore {
 
   /// Makes t a boundary. Splits divide the interval's committed loads
   /// proportionally to the sub-lengths (Section 3); the left half keeps
-  /// its handle, the right half gets a fresh one, and both epochs advance.
+  /// its handle, the right half gets a new one, and both curves go stale.
   Refinement ensure_boundary(double t);
 
-  /// Retires every interval whose end is <= frontier, front to back,
-  /// appending the freed handles to `freed`. Freed slots keep a bumped
-  /// epoch (a stale cache entry can never validate against them) and their
-  /// handles are recycled LIFO by later refinements, so steady-state
-  /// serving holds O(live intervals) slab memory. If everything retires,
-  /// the back boundary survives as the bootstrap boundary, so future
-  /// refinements extend from the old horizon exactly like the uncompacted
-  /// store. Returns the number of intervals retired.
-  std::size_t compact_before(double frontier, std::vector<Handle>& freed);
+  /// Retires every interval whose end is <= frontier, front to back. A
+  /// retired slot drops its loads and its curve's knots, and its handle is
+  /// recycled LIFO by later refinements (stale, like a new one), so
+  /// steady-state serving holds O(live intervals) slab memory. If
+  /// everything retires, the back boundary survives as the bootstrap
+  /// boundary, so future refinements extend from the old horizon exactly
+  /// like the uncompacted store. Returns the number of intervals retired.
+  std::size_t compact_before(double frontier);
 
   // -- partition queries ----------------------------------------------------
   [[nodiscard]] std::size_t num_intervals() const { return index_.size(); }
@@ -117,16 +125,17 @@ class IntervalStore {
     return end_of(h) - start_of(h);
   }
 
-  // -- loads and epochs (by handle, O(1) plus the load-list scan) ----------
+  // -- loads (by handle, O(1) plus the load-list scan) ----------------------
   [[nodiscard]] const std::vector<Load>& loads(Handle h) const {
     return payload_[h].loads;
   }
   [[nodiscard]] double load_of(Handle h, JobId job) const;
-  /// Replaces `job`'s load in the interval (0 removes); bumps the epoch.
+  /// Replaces `job`'s load in the interval (0 removes); the curve goes
+  /// stale unless the load list is left as it was (0 for an absent job).
   void set_load(Handle h, JobId job, double amount);
   /// set_load for a job that holds no load in the interval (the caller
   /// has established that), without set_load's search of the load list:
-  /// appends the load and bumps the epoch; 0 is a no-op, as in set_load.
+  /// appends the load and stales the curve; 0 is a no-op, as in set_load.
   void append_load(Handle h, JobId job, double amount);
   /// Watermark of the job ids in the store: the largest id given a nonzero
   /// load since clear() (kNoJob if none). Removals, splits and compaction
@@ -135,32 +144,42 @@ class IntervalStore {
   /// ids rise.
   [[nodiscard]] JobId max_job() const { return max_job_; }
   static constexpr JobId kNoJob = std::numeric_limits<JobId>::min();
-  [[nodiscard]] std::uint64_t epoch(Handle h) const {
-    return payload_[h].epoch;
-  }
   [[nodiscard]] double interval_total(Handle h) const;
   /// Total work of `job` across all intervals (O(n); cold path).
   [[nodiscard]] double total_of(JobId job) const;
 
-  /// Upper bound on ever-allocated handle values; slab-sized caches keyed
-  /// by handle size themselves off this.
+  // -- cached insertion curves (by handle, O(1)) ----------------------------
+  /// The interval's cached curve. Meaningful only while fresh(h); a stale
+  /// one is rebuilt in place by its one builder, core::CurveCache.
+  [[nodiscard]] util::PiecewiseLinear& curve(Handle h) {
+    return payload_[h].curve;
+  }
+  /// Whether curve(h) was built from the interval's current loads and
+  /// length.
+  [[nodiscard]] bool fresh(Handle h) const { return payload_[h].fresh; }
+  /// Records that curve(h) was just built from the current loads and
+  /// length; the next change to either clears it again.
+  void mark_fresh(Handle h) { payload_[h].fresh = true; }
+
+  /// Upper bound on ever-allocated handle values: the slab's length.
   [[nodiscard]] std::size_t handle_space() const { return payload_.size(); }
 
   // -- cold-path materialization into the contiguous types -----------------
   /// Boundaries in time order as a TimePartition (O(n)).
   [[nodiscard]] TimePartition snapshot_partition() const;
-  /// Loads in time order as a WorkAssignment (O(total loads)). Note:
-  /// the snapshot's epoch counters restart from zero — epochs are
-  /// meaningful only against the live store.
+  /// Loads in time order as a WorkAssignment (O(total loads)).
   [[nodiscard]] WorkAssignment snapshot_assignment() const;
 
  private:
   struct Payload {
     std::vector<Load> loads;
-    std::uint64_t epoch = 0;
+    util::PiecewiseLinear curve;  // see fresh()
     double start = 0.0;
     Handle next = kNoHandle;  // time-order successor
+    bool fresh = false;       // curve built from the current loads, length
   };
+  // One payload per handle ever allocated, so its size shows in peak RSS.
+  static_assert(sizeof(Payload) <= 80);
 
   /// Hands out a handle for a new interval starting at `start` and linked
   /// in front of `next` in time order (the caller relinks its predecessor):

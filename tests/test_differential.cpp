@@ -24,14 +24,16 @@
 // stress the Section-3 refinement machinery, wide windows from one
 // interval to the full horizon, a refinement torture with tolerance
 // prepends, an accept-heavy long-horizon family, recycled (reset())
-// schedulers, and fractional and integral PD at an underflowed rejection
-// speed.
+// schedulers, repeated job ids (refused alike), and fractional and
+// integral PD at an underflowed rejection speed.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -492,6 +494,66 @@ TEST_P(PdDifferential, UnderflowedRejectionSpeedIntegralInstances) {
   }
 }
 
+// Repeated job ids. PD never re-places a job, so both engines refuse an
+// arrival whose id already holds load in its window (std::invalid_argument,
+// after refining the partition) and serve a repeat whose window misses the
+// earlier job's loads like a new job. They must refuse the same arrivals
+// and agree bitwise on every decision, before and after each refusal.
+TEST_P(PdDifferential, RepeatedIdInstances) {
+  const DiffParam param = GetParam();
+  const Machine machine{param.m, param.alpha};
+  int refused = 0, overlapping = 0, disjoint = 0;
+  for (int seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("repeated-id seed " + std::to_string(seed));
+    util::Rng rng(8900 + std::uint64_t(seed));
+    workload::UniformConfig config;
+    config.num_jobs = 40;
+    config.value_scale = 4.0;  // mostly accepts: loads for repeats to meet
+    std::vector<model::Job> jobs =
+        workload::uniform_random(config, machine, 8900 + std::uint64_t(seed))
+            .jobs_by_release();
+    for (std::size_t i = 1; i < jobs.size(); ++i) {
+      if (!rng.bernoulli(0.4)) continue;
+      const model::Job& earlier =
+          jobs[std::size_t(rng.uniform_int(0, std::int64_t(i) - 1))];
+      jobs[i].id = earlier.id;
+      (earlier.deadline > jobs[i].release ? overlapping : disjoint) += 1;
+    }
+    ReferencePd reference(machine);
+    PdScheduler production(machine);
+    for (const model::Job& job : jobs) {
+      std::optional<core::ArrivalDecision> a;
+      std::optional<core::ArrivalDecision> b;
+      try {
+        a = reference.on_arrival(job);
+      } catch (const std::invalid_argument&) {
+      }
+      try {
+        b = production.on_arrival(job);
+      } catch (const std::invalid_argument&) {
+      }
+      ASSERT_EQ(a.has_value(), b.has_value()) << job.to_string();
+      if (!a.has_value()) {
+        ++refused;
+        continue;
+      }
+      ASSERT_EQ(a->accepted, b->accepted) << job.to_string();
+      ASSERT_EQ(a->speed, b->speed) << job.to_string();
+      ASSERT_EQ(a->lambda, b->lambda) << job.to_string();
+      ASSERT_EQ(a->planned_energy, b->planned_energy) << job.to_string();
+    }
+    ASSERT_EQ(reference.planned_energy(), production.planned_energy());
+    // Refused arrivals refined both partitions alike.
+    ASSERT_EQ(reference.partition().boundaries(),
+              production.partition().boundaries());
+  }
+  // Repeats landed both inside and outside the earlier job's window, and
+  // some of them were refused.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(overlapping, 0);
+  EXPECT_GT(disjoint, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AlphaTimesProcessors, PdDifferential,
     ::testing::Values(DiffParam{1.1, 1}, DiffParam{1.1, 4}, DiffParam{1.1, 16},
@@ -548,7 +610,7 @@ struct BitPin {
   std::uint64_t decision_digest;
 };
 
-BitPin run_deep_horizon_shaped(Machine machine, std::uint64_t seed) {
+PdScheduler replay_deep_horizon_shaped(Machine machine, std::uint64_t seed) {
   util::Rng rng(seed);
   PdScheduler scheduler(machine);
   model::JobId next_id = 0;
@@ -568,6 +630,11 @@ BitPin run_deep_horizon_shaped(Machine machine, std::uint64_t seed) {
       (void)scheduler.on_arrival(job);
     }
   }
+  return scheduler;
+}
+
+BitPin run_deep_horizon_shaped(Machine machine, std::uint64_t seed) {
+  const PdScheduler scheduler = replay_deep_horizon_shaped(machine, seed);
   std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
   for (const auto& [id, d] : scheduler.decisions()) {
     for (const double x : {d.lambda, d.speed}) {
@@ -597,6 +664,18 @@ TEST(BitPin, DeepHorizonShapedStreamSingleProcessor) {
 TEST(BitPin, DeepHorizonShapedStreamFourProcessors) {
   expect_pinned(run_deep_horizon_shaped(Machine{4, 3.0}, 11),
                 {873, 1128, 0x409af919b86c9fcbull, 0x30c08148198c44dbull});
+}
+
+// The curve cache's counters go on the wire in checkpoints, so a change to
+// when a curve counts as stale must show here: the same two streams must
+// hit and rebuild exactly as often as when these counts were recorded.
+TEST(BitPin, CurveCacheCountersOfBothStreams) {
+  const PdScheduler one = replay_deep_horizon_shaped(Machine{1, 2.0}, 7);
+  EXPECT_EQ(one.counters().curve_cache_hits, 106084);
+  EXPECT_EQ(one.counters().curve_cache_rebuilds, 7421);
+  const PdScheduler four = replay_deep_horizon_shaped(Machine{4, 3.0}, 11);
+  EXPECT_EQ(four.counters().curve_cache_hits, 95634);
+  EXPECT_EQ(four.counters().curve_cache_rebuilds, 12964);
 }
 
 }  // namespace

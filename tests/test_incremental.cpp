@@ -6,10 +6,11 @@
 //   * horizon extension to the right (t > hi appends intervals),
 //   * the prepend path (t < lo in ensure_boundary, reachable through the
 //     1e-12 release-order tolerance and by driving OnlineState directly).
-// Plus direct unit tests of CurveCache epoch/handle validation and of its
-// one-walk gather (curves zero at the cap skipped, bitwise), of in-place
-// curve rebuilds, of LazyLinearSum against the materialized sum, and of the
-// water fill's certified cap test and its late view.
+// Plus direct unit tests of the curve walk over the store's fresh flags
+// (hits, in-place rebuilds, recycled handles) and of its one-walk gather
+// (curves zero at the cap skipped, bitwise), of in-place curve rebuilds,
+// of LazyLinearSum against the materialized sum, and of the water fill's
+// certified cap test and its late view.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -216,7 +217,7 @@ IntervalStore make_store(const std::vector<double>& boundaries) {
   return store;
 }
 
-TEST(CurveCache, EpochInvalidationOnSetLoad) {
+TEST(CurveCache, SetLoadStalesOnlyItsInterval) {
   IntervalStore store = make_store({0.0, 1.0, 2.5, 3.0});
   store.set_load(handle_at(store, 0), 1, 2.0);
   store.set_load(handle_at(store, 1), 2, 1.0);
@@ -362,16 +363,14 @@ TEST(CurveCache, SkippingCurvesZeroAtTheCapKeepsTheSumBitwise) {
   EXPECT_GT(evaluated, 1000);
 }
 
-// An entry validates on (epoch, length), and an unbuilt entry holds length
-// 0.0, which no interval has. So an entry is never served before its first
-// build: not for a fresh handle at epoch 0, where only the length tells the
-// unbuilt entry from a built one, nor for the handles a compaction freed
-// once they are recycled (through a split or an append); the compaction's
-// survivors keep hitting.
-TEST(CurveCache, UnbuiltEntryNeverValidates) {
+// A handle a compaction freed comes back stale and without knots when a
+// later refinement recycles it (as the right half of a split, or by an
+// append), so the walk rebuilds it on first use and the result matches a
+// cold build; a brand-new handle is likewise built before it is served,
+// and the compaction's survivors keep hitting.
+TEST(CurveCache, RecycledHandleRebuildsOnFirstUse) {
   IntervalStore store = make_store({0.0, 1.0});
-  const IntervalStore::Handle fresh = store.front_handle();
-  ASSERT_EQ(store.epoch(fresh), 0u);
+  ASSERT_FALSE(store.fresh(store.front_handle()));
   CurveCache cache;
   const auto first =
       cache.curves_for(store, 2, store.span(0.0, 1.0), kNewJob, 0.5);
@@ -389,10 +388,10 @@ TEST(CurveCache, UnbuiltEntryNeverValidates) {
   (void)cache.curves_for(store, 2, store.span(0.0, 4.0), kNewJob, 0.5);
   ASSERT_EQ(cache.stats().rebuilds, 5);
 
-  // Compact the first two away; the cache releases their entries.
-  std::vector<IntervalStore::Handle> freed;
-  ASSERT_EQ(store.compact_before(2.0, freed), 2u);
-  cache.on_compacted(freed);
+  // Compact the first two away; the store releases their curves.
+  const std::vector<IntervalStore::Handle> freed{handle_at(store, 0),
+                                                 handle_at(store, 1)};
+  ASSERT_EQ(store.compact_before(2.0), 2u);
   // The survivors still hit.
   const long long hits = cache.stats().hits;
   (void)cache.curves_for(store, 2, store.span(2.0, 4.0), kNewJob, 0.5);
@@ -400,13 +399,19 @@ TEST(CurveCache, UnbuiltEntryNeverValidates) {
   EXPECT_EQ(cache.stats().hits, hits + 2);
 
   // Recycle both freed handles: one as the right half of a split, one by
-  // an append. Each is built on first use, and matches a cold build.
+  // an append. Each comes back stale with no knots, is built on first use,
+  // and matches a cold build.
   ASSERT_EQ(store.ensure_boundary(2.5), IntervalStore::Refinement::kSplit);
   ASSERT_EQ(store.ensure_boundary(5.0), IntervalStore::Refinement::kAppend);
   int recycled = 0;
   for (IntervalStore::Handle h = store.front_handle();
        h != IntervalStore::kNoHandle; h = store.next_handle(h))
-    for (const IntervalStore::Handle f : freed) recycled += h == f;
+    for (const IntervalStore::Handle f : freed)
+      if (h == f) {
+        ++recycled;
+        EXPECT_FALSE(store.fresh(h));
+        EXPECT_TRUE(store.curve(h).empty());
+      }
   ASSERT_EQ(recycled, 2);
   const auto after =
       cache.curves_for(store, 2, store.span(2.0, 5.0), kNewJob, 0.5);
@@ -416,6 +421,7 @@ TEST(CurveCache, UnbuiltEntryNeverValidates) {
   for (IntervalStore::Handle h = store.front_handle();
        h != IntervalStore::kNoHandle; h = store.next_handle(h), ++i) {
     SCOPED_TRACE(testing::Message() << "interval " << i);
+    EXPECT_TRUE(store.fresh(h));
     const auto cold =
         chen::insertion_curve(store.loads(h), -1, 2, store.length_of(h));
     ASSERT_EQ(after.curves[i]->knots().size(), cold.knots().size());
@@ -443,7 +449,7 @@ void expect_same_curve(const util::PiecewiseLinear& got,
 TEST(CurveCache, InPlaceRebuildMatchesFreshBuild) {
   util::Rng rng(808);
   chen::CurveScratch scratch;
-  for (const int m : {1, 3}) {
+  for (const int m : {1, 2, 3, 4, 16}) {
     util::PiecewiseLinear curve;
     // Load counts that alternately shrink and grow the curve's knot count.
     for (const int p : {8, 2, 0, 12, 5, 20, 1}) {

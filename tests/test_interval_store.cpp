@@ -2,8 +2,10 @@
 //
 // Two layers of coverage:
 //   * model::IntervalStore semantics: bootstrap below two boundaries,
-//     split / append / prepend refinements, stable handles, epochs, LIFO
-//     handle recycling, handle spans, the time-order successor chain (also
+//     split / append / prepend refinements, stable handles, the cached
+//     curves' fresh flags (cleared by every change to an interval's loads
+//     or length, and checked against cold builds), LIFO handle recycling,
+//     handle spans, the time-order successor chain (also
 //     across a checkpoint round trip), and snapshot materialization —
 //     core::OnlineState cross-checked against the contiguous TimePartition
 //     + WorkAssignment pair refined by the reference core::refine_partition
@@ -16,16 +18,19 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <map>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "chen/insertion_curve.hpp"
+#include "core/curve_cache.hpp"
 #include "core/online_state.hpp"
 #include "core/pd_scheduler.hpp"
 #include "core/reference_pd.hpp"
 #include "io/state_io.hpp"
 #include "model/interval_store.hpp"
+#include "util/math.hpp"
 #include "util/random.hpp"
 
 namespace pss {
@@ -49,6 +54,17 @@ std::size_t position_of(const IntervalStore& store, IntervalStore::Handle h) {
        g = store.next_handle(g))
     ++pos;
   return pos;
+}
+
+// Builds the curves of [t0, t1) through the walk PD serves arrivals with,
+// at m = 2, for a job id no load carries; they come back fresh.
+void build_curves(IntervalStore& store, double t0, double t1) {
+  core::CurveCache cache;
+  (void)cache.curves_for(store, 2, store.span(t0, t1), 1 << 30, util::kInf);
+}
+
+void build_all_curves(IntervalStore& store) {
+  build_curves(store, store.front_boundary(), store.back_boundary());
 }
 
 // Number of intervals a span covers.
@@ -95,7 +111,8 @@ TEST(IntervalStore, SplitDividesLoadsProportionallyAndKeepsHandles) {
   store.ensure_boundary(4.0);
   const IntervalStore::Handle h = handle_at(store, 0);
   store.set_load(h, 1, 4.0);
-  const std::uint64_t epoch_before = store.epoch(h);
+  build_all_curves(store);
+  ASSERT_TRUE(store.fresh(h));
 
   EXPECT_EQ(store.ensure_boundary(1.0), IntervalStore::Refinement::kSplit);
   ASSERT_EQ(store.num_intervals(), 2u);
@@ -107,12 +124,12 @@ TEST(IntervalStore, SplitDividesLoadsProportionallyAndKeepsHandles) {
   EXPECT_NE(right, h);
   EXPECT_EQ(store.start_of(right), 1.0);
   EXPECT_EQ(store.end_of(right), 4.0);
-  // Loads divided 1/4 vs 3/4; both epochs advanced.
+  // Loads divided 1/4 vs 3/4; both curves stale.
   EXPECT_DOUBLE_EQ(store.load_of(h, 1), 1.0);
   EXPECT_DOUBLE_EQ(store.load_of(right, 1), 3.0);
   EXPECT_DOUBLE_EQ(store.total_of(1), 4.0);
-  EXPECT_GT(store.epoch(h), epoch_before);
-  EXPECT_GT(store.epoch(right), epoch_before);
+  EXPECT_FALSE(store.fresh(h));
+  EXPECT_FALSE(store.fresh(right));
 }
 
 TEST(IntervalStore, AppendAndPrependExtendHorizon) {
@@ -121,14 +138,19 @@ TEST(IntervalStore, AppendAndPrependExtendHorizon) {
   store.ensure_boundary(2.0);
   const IntervalStore::Handle first = handle_at(store, 0);
   store.set_load(first, 9, 5.0);
+  build_all_curves(store);
 
   EXPECT_EQ(store.ensure_boundary(5.0), IntervalStore::Refinement::kAppend);
   EXPECT_EQ(store.ensure_boundary(0.0), IntervalStore::Refinement::kPrepend);
   ASSERT_EQ(store.num_intervals(), 3u);
   // The original interval kept its handle, moved to position 1, and its
-  // loads and epoch were untouched by both extensions.
+  // loads and fresh curve were untouched by both extensions; the new
+  // intervals start stale.
   EXPECT_EQ(position_of(store, first), 1u);
   EXPECT_DOUBLE_EQ(store.load_of(first, 9), 5.0);
+  EXPECT_TRUE(store.fresh(first));
+  EXPECT_FALSE(store.fresh(handle_at(store, 0)));
+  EXPECT_FALSE(store.fresh(handle_at(store, 2)));
   EXPECT_EQ(store.front_boundary(), 0.0);
   EXPECT_EQ(store.back_boundary(), 5.0);
   EXPECT_TRUE(store.loads(handle_at(store, 0)).empty());
@@ -153,13 +175,17 @@ TEST(IntervalStore, SetLoadMatchesWorkAssignmentSemantics) {
   store.set_load(h, 1, 2.0);
   store.set_load(h, 2, 3.0);
   EXPECT_DOUBLE_EQ(store.interval_total(h), 5.0);
-  const std::uint64_t epoch = store.epoch(h);
-  store.set_load(h, 1, 0.0);  // zero erases and bumps the epoch
+  build_all_curves(store);
+  ASSERT_TRUE(store.fresh(h));
+  store.set_load(h, 1, 0.0);  // zero erases and stales the curve
   EXPECT_DOUBLE_EQ(store.load_of(h, 1), 0.0);
   EXPECT_EQ(store.loads(h).size(), 1u);
-  EXPECT_GT(store.epoch(h), epoch);
+  EXPECT_FALSE(store.fresh(h));
+  build_all_curves(store);
   store.set_load(h, 3, 0.0);  // zero for an absent job is a silent no-op
-  EXPECT_EQ(store.epoch(h), epoch + 1);
+  EXPECT_TRUE(store.fresh(h));
+  store.set_load(h, 2, 1.0);  // a changed amount stales it
+  EXPECT_FALSE(store.fresh(h));
   EXPECT_THROW(store.set_load(h, 1, -1.0), std::invalid_argument);
 }
 
@@ -180,15 +206,14 @@ TEST(IntervalStore, JobWatermarkBoundsEveryLiveId) {
   EXPECT_EQ(store.max_job(), 10);
   ASSERT_EQ(store.ensure_boundary(0.5), IntervalStore::Refinement::kSplit);
   store.append_load(handle_at(store, 0), 12, 1.0);
-  std::vector<IntervalStore::Handle> freed;
-  ASSERT_EQ(store.compact_before(1.0, freed), 2u);
+  ASSERT_EQ(store.compact_before(1.0), 2u);
   EXPECT_EQ(store.max_job(), 12);
   store.clear();
   EXPECT_EQ(store.max_job(), IntervalStore::kNoJob);
 }
 
 // append_load is set_load for a job the interval does not hold: the same
-// load list and epoch, zero a no-op, negative refused.
+// load list and fresh flag, zero a no-op, negative refused.
 TEST(IntervalStore, AppendLoadIsSetLoadForAnAbsentJob) {
   IntervalStore set;
   IntervalStore appended;
@@ -201,9 +226,12 @@ TEST(IntervalStore, AppendLoadIsSetLoadForAnAbsentJob) {
   for (const auto& [job, amount] :
        std::vector<std::pair<model::JobId, double>>{{1, 2.0}, {2, 0.0},
                                                     {3, 0.5}}) {
+    build_all_curves(set);
+    build_all_curves(appended);
     set.set_load(h, job, amount);
     appended.append_load(h, job, amount);
-    EXPECT_EQ(appended.epoch(h), set.epoch(h));
+    EXPECT_EQ(set.fresh(h), amount == 0.0);
+    EXPECT_EQ(appended.fresh(h), set.fresh(h));
   }
   ASSERT_EQ(appended.loads(h).size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
@@ -452,19 +480,19 @@ TEST(IntervalStore, SuccessorChainSurvivesRandomRefinementAndCompaction) {
   util::Rng rng(515);
   IntervalStore store;
   std::vector<double> oracle;  // sorted boundaries
-  std::vector<IntervalStore::Handle> freed;
-  // Epoch each retired handle had while live; a handle that comes back
-  // must carry a larger one, so no cache entry of its previous tenant can
-  // validate.
-  std::map<IntervalStore::Handle, std::uint64_t> retired_epoch;
+  // Handles compaction retired and no refinement has recycled yet. One
+  // that comes back must be stale with no knots, so its previous tenant's
+  // curve can never be served.
+  std::set<IntervalStore::Handle> retired;
   int splits = 0, appends = 0, prepends = 0, empties = 0, clears = 0;
   int recycled = 0, front_spans = 0, back_spans = 0, interior_spans = 0;
+  long long fresh_checked = 0;
   for (int step = 0; step < 4000; ++step) {
     const double u = rng.uniform(0.0, 1.0);
     if (u < 0.02) {
       store.clear();
       oracle.clear();
-      retired_epoch.clear();  // epochs restart with the slab
+      retired.clear();  // handles restart with the slab
       ++clears;
     } else if (u < 0.12 && store.num_intervals() > 0) {
       // Compact a prefix; one time in five past the back, to empty.
@@ -472,14 +500,15 @@ TEST(IntervalStore, SuccessorChainSurvivesRandomRefinementAndCompaction) {
       const double hi = store.back_boundary();
       const double frontier = rng.bernoulli(0.2) ? hi + 1.0
                                                  : rng.uniform(lo, hi);
-      std::map<IntervalStore::Handle, std::uint64_t> live_epoch;
+      std::set<IntervalStore::Handle> live;
       for (IntervalStore::Handle h = store.front_handle();
            h != IntervalStore::kNoHandle; h = store.next_handle(h))
-        live_epoch[h] = store.epoch(h);
-      freed.clear();
-      (void)store.compact_before(frontier, freed);
-      for (const IntervalStore::Handle h : freed)
-        retired_epoch[h] = live_epoch.at(h);
+        live.insert(h);
+      (void)store.compact_before(frontier);
+      for (IntervalStore::Handle h = store.front_handle();
+           h != IntervalStore::kNoHandle; h = store.next_handle(h))
+        live.erase(h);
+      retired.insert(live.begin(), live.end());
       while (oracle.size() >= 2 && oracle[1] <= frontier)
         oracle.erase(oracle.begin());
       if (store.num_intervals() == 0) ++empties;
@@ -514,10 +543,27 @@ TEST(IntervalStore, SuccessorChainSurvivesRandomRefinementAndCompaction) {
 
     for (IntervalStore::Handle h = store.front_handle();
          h != IntervalStore::kNoHandle; h = store.next_handle(h)) {
-      const auto it = retired_epoch.find(h);
-      if (it == retired_epoch.end()) continue;
-      ASSERT_GT(store.epoch(h), it->second) << "recycled handle " << h;
-      retired_epoch.erase(it);
+      if (store.fresh(h)) {
+        // A fresh curve is the cold build from the current loads and
+        // length, bit for bit.
+        const auto cold = chen::insertion_curve(store.loads(h), -1, 2,
+                                                store.length_of(h));
+        const util::PiecewiseLinear& cached = store.curve(h);
+        ASSERT_EQ(cached.knots().size(), cold.knots().size())
+            << "handle " << h << " after step " << step;
+        for (std::size_t i = 0; i < cold.knots().size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(cached.knots()[i].x),
+                    std::bit_cast<std::uint64_t>(cold.knots()[i].x));
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(cached.knots()[i].y),
+                    std::bit_cast<std::uint64_t>(cold.knots()[i].y));
+        }
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(cached.final_slope()),
+                  std::bit_cast<std::uint64_t>(cold.final_slope()));
+        ++fresh_checked;
+      }
+      if (retired.erase(h) == 0) continue;
+      ASSERT_FALSE(store.fresh(h)) << "recycled handle " << h;
+      ASSERT_TRUE(store.curve(h).empty()) << "recycled handle " << h;
       ++recycled;
     }
 
@@ -545,6 +591,9 @@ TEST(IntervalStore, SuccessorChainSurvivesRandomRefinementAndCompaction) {
       }
       EXPECT_THROW((void)store.span(oracle.back(), oracle.back() + 1.0),
                    std::invalid_argument);
+      // Build the span's curves, so later steps find fresh curves to
+      // stale (or, wrongly, to leave fresh).
+      build_curves(store, oracle[std::size_t(i0)], oracle[std::size_t(i1)]);
     }
   }
   // Every mutation kind was exercised, including regrowth after emptying,
@@ -555,6 +604,7 @@ TEST(IntervalStore, SuccessorChainSurvivesRandomRefinementAndCompaction) {
   EXPECT_GT(empties, 5);
   EXPECT_GT(clears, 20);
   EXPECT_GT(recycled, 100);
+  EXPECT_GT(fresh_checked, 10000);
   EXPECT_GT(front_spans, 100);
   EXPECT_GT(back_spans, 100);
   EXPECT_GT(interior_spans, 100);
@@ -565,21 +615,27 @@ TEST(IntervalStore, CompactionRecyclesHandlesLifo) {
   for (double t : {0.0, 1.0, 2.0, 3.0, 4.0}) (void)store.ensure_boundary(t);
   const IntervalStore::Handle a = handle_at(store, 0);
   const IntervalStore::Handle b = handle_at(store, 1);
-  const std::uint64_t epoch_a = store.epoch(a);
-  const std::uint64_t epoch_b = store.epoch(b);
-  std::vector<IntervalStore::Handle> freed;
-  ASSERT_EQ(store.compact_before(2.0, freed), 2u);
-  EXPECT_EQ(freed, (std::vector<IntervalStore::Handle>{a, b}));
+  const IntervalStore::Handle c = handle_at(store, 2);
+  store.set_load(a, 1, 1.0);
+  store.set_load(b, 2, 2.0);
+  build_all_curves(store);
+  ASSERT_FALSE(store.curve(b).empty());
+  ASSERT_EQ(store.compact_before(2.0), 2u);
+  EXPECT_EQ(store.front_handle(), c);
   EXPECT_EQ(store.front_boundary(), 2.0);
-  // The most recently freed handle comes back first, with a larger epoch;
-  // then the other; then the slab grows.
+  // The most recently freed handle comes back first, then the other, each
+  // stale with no loads and no knots; then the slab grows.
   ASSERT_EQ(store.ensure_boundary(5.0), IntervalStore::Refinement::kAppend);
   EXPECT_EQ(handle_at(store, 2), b);
-  EXPECT_GT(store.epoch(b), epoch_b);
+  EXPECT_FALSE(store.fresh(b));
+  EXPECT_TRUE(store.curve(b).empty());
   ASSERT_EQ(store.ensure_boundary(1.5), IntervalStore::Refinement::kPrepend);
   EXPECT_EQ(store.front_handle(), a);
-  EXPECT_GT(store.epoch(a), epoch_a);
+  EXPECT_FALSE(store.fresh(a));
+  EXPECT_TRUE(store.curve(a).empty());
   EXPECT_TRUE(store.loads(a).empty());
+  EXPECT_TRUE(store.loads(b).empty());
+  EXPECT_TRUE(store.fresh(c));
   ASSERT_EQ(store.ensure_boundary(6.0), IntervalStore::Refinement::kAppend);
   EXPECT_EQ(store.handle_space(), 5u);
   EXPECT_EQ(store.num_intervals(), 5u);
